@@ -27,7 +27,9 @@ from .rootsystems import (
     CARTAN, G2_EXPECTED_FIRST, G2_EXPECTED_SECOND, default_offsets,
     golden_table, root_system, weight_polytope,
 )
-from .symmetry import DihedralGroup, Reflection, detect_reflections, dihedral_group
+from .symmetry import (
+    Reflection, detect_reflections, dihedral_group, maximal_dihedral,
+)
 from .theorem import verify_theorem
 
 _EPILOG = ("Inputs must be exact rationals (integers or 'p/q' strings); "
@@ -71,7 +73,10 @@ def load_polygon(args) -> tuple[str, RationalPolygon]:
     if args.builtin is not None:
         return args.builtin, builtin(args.builtin)
     with open(args.input) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("input JSON is nested too deeply") from None
     return polygon_from_json(obj)
 
 
@@ -83,13 +88,7 @@ def select_group(p: RationalPolygon, spec: str):
             raise NotASymmetry("polygon has no reflection symmetry")
         if len(refs) == 1:
             return refs[0]
-        best = None
-        for i in range(len(refs)):
-            for j in range(i + 1, len(refs)):
-                g = dihedral_group(refs[i], refs[j])
-                if best is None or g.ell > best.ell:
-                    best = g
-        return best
+        return maximal_dihedral(refs)[0]
     if spec.startswith("reflection:"):
         k = int(spec.split(":", 1)[1])
         if not 0 <= k < len(refs):
@@ -165,14 +164,9 @@ def run_betti(name: str, p: RationalPolygon) -> tuple[int, dict, list[str]]:
 
 def run_symmetries(name: str, p: RationalPolygon) -> tuple[int, dict, list[str]]:
     refs = detect_reflections(p)
-    pairs = []
-    best_ell = 0
-    for i in range(len(refs)):
-        for j in range(i + 1, len(refs)):
-            g = dihedral_group(refs[i], refs[j])
-            pairs.append((i, j, g.ell))
-            best_ell = max(best_ell, g.ell)
-    maximal = [[i, j] for i, j, ell in pairs if ell == best_ell]
+    best, pairs = maximal_dihedral(refs)
+    best_ell = best.ell if best else 0
+    maximal = [[i, j] for i, j in pairs]
     payload = {
         "name": name,
         "reflections": [{"index": k, "mirror_normal": list(r.mirror_normal),

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (
     DegeneratePairing, DegreeTooHigh, NotASymmetry, UnexpectedBettiNumber,
 )
-from .exactlin import Rat, RatMatrix, Vec, kernel_basis, rank, rref, spans_equal
+from .exactlin import Rat, RatMatrix, Vec, kernel_basis, rank, rref
 from .geometry import RationalPolygon, cross
 
 Poly = dict[tuple[int, ...], Rat]
@@ -48,11 +48,6 @@ def poly_add(a: Poly, b: Poly) -> Poly:
         if not out[k]:
             del out[k]
     return out
-
-
-def poly_scale(c, a: Poly) -> Poly:
-    c = Fraction(c)
-    return {} if c == 0 else {k: c * v for k, v in a.items()}
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -336,11 +331,9 @@ def ring_action(ring: CohomologyRing, perm: Sequence[int]) -> RingAction:
 
 def invariant_deg2(ring: CohomologyRing,
                    actions: Iterable[RingAction]) -> RatMatrix:
-    """Basis (as columns) of the degree-2 invariants of the given actions.
-
-    Computed as the kernel of the stacked (rho - 1) blocks and cross-checked
-    against the image of the averaging operator over the full action list.
-    """
+    """Basis (as columns) of the degree-2 invariants of the given actions:
+    the kernel of the stacked (rho - 1) blocks. verify_theorem compares it
+    with reynolds_image over the full group; this function does not."""
     acts = list(actions)
     dim = len(ring.deg2_basis)
     ident = RatMatrix.identity(dim)
@@ -364,11 +357,6 @@ def reynolds_image(ring: CohomologyRing,
     for a in group_actions:
         acc = acc.add(a.deg2_matrix)
     return acc.scale(Fraction(1, len(group_actions)))
-
-
-def check_invariants_match(kernel_mat: RatMatrix,
-                           reynolds_mat: RatMatrix) -> bool:
-    return spans_equal(kernel_mat, reynolds_mat)
 
 
 def orbit_sums(m: int, perms: Sequence[Sequence[int]]) -> tuple[Poly, ...]:

@@ -17,24 +17,9 @@ Rat = Fraction
 Vec = tuple[Rat, ...]
 
 
-def rat(x: int | str | Fraction) -> Rat:
-    """Coerce an int, a "p/q" string, or a Fraction to Fraction."""
-    return Fraction(x)
-
-
 def vec(xs: Iterable) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-def vec_scale(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
 
 def vec_dot(a: Vec, b: Vec) -> Rat:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
@@ -191,15 +176,6 @@ def solve(a: RatMatrix, b: Sequence) -> Vec:
     for k, p in enumerate(pivots):
         x[p] = red[k, a.cols]
     return tuple(x)
-
-
-def column_space_contains(a: RatMatrix, v: Sequence) -> bool:
-    """Whether v lies in the span of A's columns."""
-    try:
-        solve(a, v)
-        return True
-    except Inconsistent:
-        return False
 
 
 def spans_equal(a: RatMatrix, b: RatMatrix) -> bool:

@@ -192,17 +192,12 @@ def golden_table(rs: RootSystem,
     group = rs.weyl_group()
     fr = fundamental_region(poly, group, chamber_hint=dominant_point(rs))
     table = dihedral_coefficients(fr)
-    first = min(fr.slots)
-    last = max(fr.slots)
-    group = fr.group
 
-    def rows(slot, gen):
-        out = []
-        for u in group.coset_reps(gen):
-            out.append((u.name, table.c[(u.word, slot)], table.d[(u.word, slot)]))
-        return tuple(out)
+    def rows(slot):
+        return tuple((u.name, table.c[(u.word, slot)], table.d[(u.word, slot)])
+                     for u in table.sets[slot])
 
-    return CoeffTable(fr, rows(first, 1), rows(last, 2))
+    return CoeffTable(fr, rows(min(fr.slots)), rows(max(fr.slots)))
 
 
 def g2_golden_table() -> CoeffTable:

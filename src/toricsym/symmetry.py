@@ -74,6 +74,14 @@ class Reflection:
             eta = (-eta[0], -eta[1])
         return Reflection(matrix, eta)
 
+    @property
+    def elements(self) -> tuple["GroupElement", "GroupElement"]:
+        """The order-2 group (id, sigma), with words () and (1,), so that a
+        single mirror reads like a dihedral group wherever elements are
+        enumerated."""
+        return (GroupElement((), RatMatrix.identity(2)),
+                GroupElement((1,), self.matrix))
+
 
 def vertex_permutation(p: RationalPolygon, matrix: RatMatrix) -> tuple[int, ...]:
     """tau with matrix * vertices[i] == vertices[tau[i]]; NotASymmetry if the
@@ -157,9 +165,6 @@ class DihedralGroup:
     def order(self) -> int:
         return 2 * self.ell
 
-    def identity(self) -> GroupElement:
-        return self.elements[0]
-
     def element(self, word: Sequence[int]) -> GroupElement:
         """The element whose matrix equals the product over the given word."""
         mat = RatMatrix.identity(2)
@@ -187,7 +192,7 @@ class DihedralGroup:
 
     def swapped(self) -> "DihedralGroup":
         """Same group with the generator names exchanged."""
-        return dihedral_group(self.s2, self.s1)
+        return _generated(self.s2, self.s1, self.ell)
 
 
 def dihedral_group(r1: Reflection, r2: Reflection) -> DihedralGroup:
@@ -202,6 +207,12 @@ def dihedral_group(r1: Reflection, r2: Reflection) -> DihedralGroup:
         if ell > _ORDER_BOUND:
             raise NotFiniteOrder(
                 "product of the two reflections has order beyond the bound")
+    return _generated(r1, r2, ell)
+
+
+def _generated(r1: Reflection, r2: Reflection, ell: int) -> DihedralGroup:
+    """The group of order 2*ell with generators s1 = r1, s2 = r2, one
+    element per reduced word."""
     gens = {1: r1.matrix, 2: r2.matrix}
 
     def matrix_of(word):
@@ -223,6 +234,23 @@ def dihedral_group(r1: Reflection, r2: Reflection) -> DihedralGroup:
     return DihedralGroup(r1, r2, ell, elements)
 
 
+def maximal_dihedral(refs: Sequence[Reflection],
+                     ) -> tuple[Optional[DihedralGroup], tuple[tuple[int, int], ...]]:
+    """The group of the first mirror pair whose dihedral group has the
+    largest order, and every index pair i < j generating a group of that
+    order, in scan order; (None, ()) with fewer than two mirrors."""
+    best: Optional[DihedralGroup] = None
+    pairs: list[tuple[int, int]] = []
+    for i in range(len(refs)):
+        for j in range(i + 1, len(refs)):
+            g = dihedral_group(refs[i], refs[j])
+            if best is None or g.ell > best.ell:
+                best, pairs = g, []
+            if g.ell == best.ell:
+                pairs.append((i, j))
+    return best, tuple(pairs)
+
+
 @dataclass(frozen=True)
 class FundamentalRegion:
     """The clipped region together with its edge labeling.
@@ -233,7 +261,11 @@ class FundamentalRegion:
     for a wedge, in generator order); cross_edges holds, for single-mirror
     cases, the region indices of the crossed halves in label order
     (E_{2n+1}, then E_{2n+2} when present). parent_of sends non-mirror region
-    edges to the polygon edge they came from.
+    edges to the polygon edge they came from. edge_perms maps the word of
+    every element of group (a single mirror counts as the order-2 group, see
+    Reflection.elements) to its permutation pi of the polygon's edges, with
+    u(edge i) == edge pi[i]; it is computed once here, and every orbit,
+    coefficient and ring action downstream reads it.
     """
 
     polygon: RationalPolygon
@@ -246,6 +278,7 @@ class FundamentalRegion:
     slot_edges: dict[int, int]
     cross_edges: tuple[int, ...]
     parent_of: dict[int, int]
+    edge_perms: dict[tuple[int, ...], tuple[int, ...]]
     exits: tuple[tuple[str, int], ...]  # per mirror ray: ("edge"|"vertex", idx)
     fixed_vertices: tuple[int, ...]
     warnings: tuple[str, ...] = ()
@@ -296,6 +329,7 @@ def _walk_from(region: RationalPolygon, start: int, avoid: set[int]) -> list[int
 
 
 def _single_region(p: RationalPolygon, r: Reflection, eta: IntVec,
+                   perms: dict[RatMatrix, tuple[int, ...]],
                    warnings: tuple[str, ...]) -> FundamentalRegion:
     pts = clip_halfplane(p.vertices, eta)
     region = _region_polygon(pts)
@@ -352,7 +386,8 @@ def _single_region(p: RationalPolygon, r: Reflection, eta: IntVec,
     return FundamentalRegion(
         polygon=p, region=region, group=r, etas=(eta,), kind=kind, n=n,
         mirror_edges=(mirror_idx,), slot_edges=slot_edges,
-        cross_edges=cross_edges, parent_of=parents, exits=(),
+        cross_edges=cross_edges, parent_of=parents,
+        edge_perms={e.word: perms[e.matrix] for e in r.elements}, exits=(),
         fixed_vertices=fixed_vertices, warnings=warnings)
 
 
@@ -370,6 +405,7 @@ def _point_on_edge_interior(p: RationalPolygon, q: Point) -> Optional[int]:
 
 def _dihedral_region(p: RationalPolygon, group: DihedralGroup,
                      etas: tuple[IntVec, IntVec],
+                     perms: dict[RatMatrix, tuple[int, ...]],
                      warnings: tuple[str, ...]) -> FundamentalRegion:
     pts = clip_halfplane(p.vertices, etas[0])
     pts = clip_halfplane(pts, etas[1])
@@ -401,7 +437,7 @@ def _dihedral_region(p: RationalPolygon, group: DihedralGroup,
     if exit1[0] == "vertex" and exit2[0] == "edge":
         # normalize so the edge-crossing generator is s1
         return _dihedral_region(
-            p, group.swapped(), (etas[1], etas[0]),
+            p, group.swapped(), (etas[1], etas[0]), perms,
             warnings + ("generators reordered so that the mirror crossing "
                         "an edge interior is s1",))
     kind = {("edge", "edge"): "2-1", ("edge", "vertex"): "2-2",
@@ -431,7 +467,9 @@ def _dihedral_region(p: RationalPolygon, group: DihedralGroup,
     return FundamentalRegion(
         polygon=p, region=region, group=group, etas=etas, kind=kind, n=n,
         mirror_edges=(s1_idx, s2_idx), slot_edges=slot_edges,
-        cross_edges=(), parent_of=parents, exits=(exit1, exit2),
+        cross_edges=(), parent_of=parents,
+        edge_perms={e.word: perms[e.matrix] for e in group.elements},
+        exits=(exit1, exit2),
         fixed_vertices=(), warnings=warnings)
 
 
@@ -446,21 +484,22 @@ def fundamental_region(p: RationalPolygon,
     candidate whose region has the lexicographically smallest vertex tuple
     is taken.
     """
+    # NotASymmetry here when a generator does not preserve p
+    perms = {e.matrix: edge_permutation(p, e.matrix) for e in group.elements}
     if isinstance(group, Reflection):
-        edge_permutation(p, group.matrix)  # NotASymmetry when it is not one
         base = group.mirror_normal
         sign_sets = [(base,), ((-base[0], -base[1]),)]
-        builder = lambda etas, warns: _single_region(p, group, etas[0], warns)
+        builder = lambda etas, warns: _single_region(
+            p, group, etas[0], perms, warns)
         warnings: tuple[str, ...] = ()
     else:
-        for gen in (group.s1, group.s2):
-            edge_permutation(p, gen.matrix)
         b1, b2 = group.s1.mirror_normal, group.s2.mirror_normal
         sign_sets = [
             (b1, b2), (b1, (-b2[0], -b2[1])),
             ((-b1[0], -b1[1]), b2), ((-b1[0], -b1[1]), (-b2[0], -b2[1])),
         ]
-        builder = lambda etas, warns: _dihedral_region(p, group, etas, warns)
+        builder = lambda etas, warns: _dihedral_region(
+            p, group, etas, perms, warns)
         warnings = ()
         if group.ell == 2:
             warnings = ("dihedral group with ell=2 (perpendicular mirrors): "
@@ -495,46 +534,32 @@ def fundamental_region(p: RationalPolygon,
 
 def orbit_decomposition(fr: FundamentalRegion) -> dict[int, tuple[tuple[GroupElement, int], ...]]:
     """For each slot j, the pairs (u, u(E_j)'s polygon edge index) over the
-    slot's summation set, and a proof that these orbits partition the
-    polygon's edges (crossed halves count through their parents).
+    slot's summation set, read from fr.edge_perms, and a proof that these
+    orbits partition the polygon's edges (crossed halves count through their
+    parents, which every element must fix).
 
-    Summation sets: slot 1 uses the transversal avoiding s1, slot n the one
-    avoiding s2, inner slots the whole group. For a single reflection every
-    slot uses {id, sigma} and the crossed parents are their own singleton
-    orbits.
+    Summation sets: for a dihedral group slot 1 uses the transversal avoiding
+    s1, slot n the one avoiding s2, inner slots the whole group; for a single
+    reflection every slot uses the whole group {id, sigma}.
     """
-    p = fr.polygon
+    group = fr.group
     out: dict[int, tuple[tuple[GroupElement, int], ...]] = {}
     used: list[int] = []
-    if isinstance(fr.group, Reflection):
-        sigma = GroupElement((1,), fr.group.matrix)
-        ident = GroupElement((), RatMatrix.identity(2))
-        perm = edge_permutation(p, fr.group.matrix)
-        for j, idx in fr.slot_edges.items():
-            parent = fr.parent_of[idx]
-            out[j] = ((ident, parent), (sigma, perm[parent]))
-            used += [parent, perm[parent]]
-        for idx in fr.cross_edges:
-            parent = fr.parent_of[idx]
-            if perm[parent] != parent:
-                raise InconsistentGeometry(
-                    "a mirror-crossed edge must map to itself")
-            used.append(parent)
-    else:
-        group = fr.group
-        perms = {e.word: edge_permutation(p, e.matrix) for e in group.elements}
-        for j, idx in fr.slot_edges.items():
-            parent = fr.parent_of[idx]
-            if j == 1:
-                summation = group.coset_reps(1)
-            elif j == fr.n:
-                summation = group.coset_reps(2)
-            else:
-                summation = group.elements
-            entries = tuple((u, perms[u.word][parent]) for u in summation)
-            out[j] = entries
-            used += [k for _, k in entries]
-    if sorted(used) != list(range(p.m)):
+    for j, idx in fr.slot_edges.items():
+        parent = fr.parent_of[idx]
+        if isinstance(group, DihedralGroup) and j in (1, fr.n):
+            summation = group.coset_reps(1 if j == 1 else 2)
+        else:
+            summation = group.elements
+        out[j] = tuple((u, fr.edge_perms[u.word][parent]) for u in summation)
+        used += [k for _, k in out[j]]
+    for idx in fr.cross_edges:
+        parent = fr.parent_of[idx]
+        if any(perm[parent] != parent for perm in fr.edge_perms.values()):
+            raise InconsistentGeometry(
+                "a mirror-crossed edge must map to itself")
+        used.append(parent)
+    if sorted(used) != list(range(fr.polygon.m)):
         raise PartitionFailure(
             "slot orbits do not cover every polygon edge exactly once")
     return out
@@ -553,7 +578,7 @@ def single_coefficients(fr: FundamentalRegion) -> SingleCoefficients:
     assert isinstance(fr.group, Reflection)
     p = fr.polygon
     eta = fr.etas[0]
-    perm = edge_permutation(p, fr.group.matrix)
+    perm = fr.edge_perms[(1,)]
     dual = dual_matrix(fr.group.matrix)
     cs: dict[int, Rat] = {}
     for j, idx in fr.slot_edges.items():
@@ -594,33 +619,23 @@ def coefficient_pair(fr: FundamentalRegion, element: GroupElement,
                      slot: int) -> tuple[Rat, Rat]:
     """(c, d) for one group element and one slot, from the stored normals."""
     p = fr.polygon
-    perm = edge_permutation(p, element.matrix)
     parent = fr.parent_of[fr.slot_edges[slot]]
     lam = p.edges[parent].normal
-    lam_img = p.edges[perm[parent]].normal
-    diff = (lam_img[0] - lam[0], lam_img[1] - lam[1])
+    lam_img = p.edges[fr.edge_perms[element.word][parent]].normal
     e1, e2 = fr.etas
     mat = RatMatrix.from_rows([[e1[0], e2[0]], [e1[1], e2[1]]])
-    c, d = solve(mat, diff)
+    c, d = solve(mat, (lam_img[0] - lam[0], lam_img[1] - lam[1]))
     return c, d
 
 
 def dihedral_coefficients(fr: FundamentalRegion) -> DihedralCoefficients:
     assert isinstance(fr.group, DihedralGroup)
-    decomp = orbit_decomposition(fr)
-    sets: dict[int, tuple[GroupElement, ...]] = {}
+    sets = {j: tuple(u for u, _ in entries)
+            for j, entries in orbit_decomposition(fr).items()}
     c: dict[tuple[tuple[int, ...], int], Rat] = {}
     d: dict[tuple[tuple[int, ...], int], Rat] = {}
-    p = fr.polygon
-    e1, e2 = fr.etas
-    mat = RatMatrix.from_rows([[e1[0], e2[0]], [e1[1], e2[1]]])
-    for j, entries in decomp.items():
-        sets[j] = tuple(u for u, _ in entries)
-        lam = p.edges[fr.parent_of[fr.slot_edges[j]]].normal
-        for u, edge_idx in entries:
-            lam_img = p.edges[edge_idx].normal
-            cu, du = solve(mat, (lam_img[0] - lam[0], lam_img[1] - lam[1]))
-            c[(u.word, j)] = cu
-            d[(u.word, j)] = du
+    for j, elems in sets.items():
+        for u in elems:
+            c[(u.word, j)], d[(u.word, j)] = coefficient_pair(fr, u, j)
     integral = all(v.denominator == 1 for v in list(c.values()) + list(d.values()))
     return DihedralCoefficients(sets, c, d, integral)

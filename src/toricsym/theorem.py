@@ -22,17 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import (
-    CohomologyRing, Poly, RingAction, check_invariants_match, cohomology_ring,
-    invariant_deg2, linear_poly, poly, poly_add, poly_mul, poly_str,
-    reynolds_image, ring_action,
+    CohomologyRing, Poly, RingAction, cohomology_ring, invariant_deg2,
+    linear_poly, poly, poly_add, poly_mul, poly_str, reynolds_image,
+    ring_action,
 )
 from .errors import CaseMismatch, InconsistentGeometry
 from .exactlin import Rat, RatMatrix, rank, solve, spans_equal
 from .geometry import format_rational
 from .symmetry import (
     DihedralCoefficients, DihedralGroup, FundamentalRegion, Reflection,
-    SingleCoefficients, dihedral_coefficients, edge_permutation,
-    orbit_decomposition, single_coefficients,
+    SingleCoefficients, dihedral_coefficients, fundamental_region,
+    single_coefficients,
 )
 
 
@@ -83,7 +83,7 @@ def build_reflection_map(fr: FundamentalRegion,
                            "not a single reflection")
     if coeffs is None:
         coeffs = single_coefficients(fr)
-    perm = edge_permutation(fr.polygon, fr.group.matrix)
+    perm = fr.edge_perms[(1,)]
     images: list[Poly] = [{}] * fr.region.m
     mirror_terms: dict[int, Rat] = {}
     for j, idx in fr.slot_edges.items():
@@ -106,13 +106,14 @@ def build_dihedral_map(fr: FundamentalRegion,
                            "not a dihedral group")
     if coeffs is None:
         coeffs = dihedral_coefficients(fr)
-    decomp = orbit_decomposition(fr)
     images: list[Poly] = [{}] * fr.region.m
     c_terms: dict[int, Rat] = {}
     d_terms: dict[int, Rat] = {}
     for j, idx in fr.slot_edges.items():
-        images[idx] = linear_poly({k: 1 for _, k in decomp[j]})
-        for u, k in decomp[j]:
+        parent = fr.parent_of[idx]
+        orbit = [(u, fr.edge_perms[u.word][parent]) for u in coeffs.sets[j]]
+        images[idx] = linear_poly({k: 1 for _, k in orbit})
+        for u, k in orbit:
             c_terms[k] = c_terms.get(k, Fraction(0)) + coeffs.c[(u.word, j)]
             d_terms[k] = d_terms.get(k, Fraction(0)) + coeffs.d[(u.word, j)]
     images[fr.mirror_edges[0]] = linear_poly(c_terms)
@@ -164,16 +165,11 @@ def check_well_defined(rmap: RingMap,
 
 def group_ring_actions(ring: CohomologyRing, fr: FundamentalRegion,
                        ) -> tuple[tuple[RingAction, ...], tuple[RingAction, ...]]:
-    """(generator actions, full group actions) on the target ring."""
-    p = fr.polygon
-    if isinstance(fr.group, Reflection):
-        sigma = ring_action(ring, edge_permutation(p, fr.group.matrix))
-        ident = ring_action(ring, tuple(range(p.m)))
-        return (sigma,), (ident, sigma)
-    gens = tuple(ring_action(ring, edge_permutation(p, g.matrix))
-                 for g in (fr.group.s1, fr.group.s2))
-    full = tuple(ring_action(ring, edge_permutation(p, e.matrix))
-                 for e in fr.group.elements)
+    """(generator actions, full group actions) on the target ring, one
+    ring_action per group element; the generators are the length-1 words."""
+    elements = fr.group.elements
+    full = tuple(ring_action(ring, fr.edge_perms[e.word]) for e in elements)
+    gens = tuple(a for a, e in zip(full, elements) if e.length == 1)
     return gens, full
 
 
@@ -300,7 +296,7 @@ def invariance_combination(fr: FundamentalRegion, rmap: RingMap,
         if fr.cross_edges:
             second = p.edges[fr.parent_of[fr.cross_edges[0]]].normal
         else:
-            perm = edge_permutation(p, fr.group.matrix)
+            perm = fr.edge_perms[(1,)]
             second = None
             for j in fr.slots:
                 parent = fr.parent_of[fr.slot_edges[j]]
@@ -419,8 +415,6 @@ def verify_theorem(p, group, chamber_hint=None) -> VerificationReport:
     Construction failures (not a symmetry, bad geometry) propagate;
     check failures are recorded in the report, never raised.
     """
-    from .symmetry import fundamental_region
-
     fr = fundamental_region(p, group, chamber_hint)
     if isinstance(fr.group, Reflection):
         coeffs = single_coefficients(fr)
@@ -444,8 +438,7 @@ def verify_theorem(p, group, chamber_hint=None) -> VerificationReport:
     gen_actions, all_actions = group_ring_actions(rmap.target, fr)
     inv_matrix = invariant_deg2(rmap.target, gen_actions)
     inv = check_image_invariant(rmap, gen_actions, inv_matrix, names)
-    if not check_invariants_match(inv_matrix,
-                                  reynolds_image(rmap.target, all_actions)):
+    if not spans_equal(inv_matrix, reynolds_image(rmap.target, all_actions)):
         inv = InvarianceResult(
             False, inv.fixed_ok, False,
             inv.witnesses + ("invariant basis disagrees with the averaging "

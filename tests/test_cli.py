@@ -152,6 +152,15 @@ def test_malformed_json_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_deeply_nested_json_rejected(tmp_path, capsys):
+    # exit 1 is reserved for a verification that ran and failed
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, "verify", "--input", str(deep))
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

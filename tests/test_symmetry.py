@@ -7,12 +7,14 @@ import pytest
 from toricsym.errors import (
     EllTooSmall, NotASymmetry, NotFiniteOrder, OrientationAmbiguous,
 )
+from toricsym.catalog import ninegon
 from toricsym.exactlin import RatMatrix
 from toricsym.geometry import polygon_from_vertices, pt
 from toricsym.symmetry import (
     DihedralGroup, Reflection, coefficient_pair, detect_reflections,
     dihedral_coefficients, dihedral_group, dual_matrix, edge_permutation,
-    fundamental_region, orbit_decomposition, single_coefficients,
+    fundamental_region, maximal_dihedral, orbit_decomposition,
+    single_coefficients,
 )
 
 F = Fraction
@@ -177,17 +179,60 @@ def test_square_ell2_warning():
     assert any("ell=2" in w for w in fr.warnings)
 
 
+def _all_fold_shapes():
+    """One region per fold shape, plus two whose generators get swapped."""
+    edge_m, vertex_m = _mirror_kinds(HEXAGON)
+    diag = next(r for r in detect_reflections(SQUARE)
+                if r.mirror_normal == (1, -1))
+    nine = ninegon()
+    nine_refs = detect_reflections(nine)
+    return [
+        (SQUARE, X_MIRROR),
+        (HOUSE, detect_reflections(HOUSE)[0]),
+        (SQUARE, diag),
+        (HEXAGON, dihedral_group(*edge_m[:2])),
+        (HEXAGON, dihedral_group(edge_m[0], vertex_m[0])),
+        (HEXAGON, dihedral_group(vertex_m[0], edge_m[0])),
+        (HEXAGON, dihedral_group(*vertex_m[:2])),
+        (nine, dihedral_group(nine_refs[0], nine_refs[1])),
+    ]
+
+
 def test_orbit_decomposition_partitions():
-    for p, fr in [
-        (SQUARE, fundamental_region(SQUARE, X_MIRROR)),
-        (HOUSE, fundamental_region(HOUSE, detect_reflections(HOUSE)[0])),
-        (HEXAGON, fundamental_region(
-            HEXAGON, dihedral_group(*_mirror_kinds(HEXAGON)[0][:2]))),
-    ]:
+    kinds = set()
+    swapped = 0
+    for p, group in _all_fold_shapes():
+        fr = fundamental_region(p, group)
+        kinds.add(fr.kind)
+        swapped += fr.group != group
+        # the stored table is keyed by the final group's words and agrees
+        # with a fresh edge_permutation for every element
+        assert sorted(fr.edge_perms) == sorted(e.word for e in fr.group.elements)
+        for e in fr.group.elements:
+            assert fr.edge_perms[e.word] == edge_permutation(p, e.matrix)
         decomp = orbit_decomposition(fr)
         covered = [k for entries in decomp.values() for _, k in entries]
         covered += [fr.parent_of[i] for i in fr.cross_edges]
         assert sorted(covered) == list(range(p.m))
+    assert kinds == {"1-1", "1-2", "1-3", "2-1", "2-2", "2-3"}
+    assert swapped == 2
+
+
+def test_single_mirror_is_the_order_two_group():
+    assert [e.word for e in X_MIRROR.elements] == [(), (1,)]
+    assert [e.name for e in X_MIRROR.elements] == ["id", "s1"]
+    assert X_MIRROR.elements[0].matrix == RatMatrix.identity(2)
+    assert X_MIRROR.elements[1].matrix == X_MIRROR.matrix
+
+
+def test_maximal_dihedral():
+    refs = detect_reflections(HEXAGON)
+    best, pairs = maximal_dihedral(refs)
+    assert best.ell == 6
+    assert best == dihedral_group(refs[pairs[0][0]], refs[pairs[0][1]])
+    assert all(dihedral_group(refs[i], refs[j]).ell == 6 for i, j in pairs)
+    assert len(pairs) == 6  # adjacent edge/vertex mirror pairs at 30 degrees
+    assert maximal_dihedral(refs[:1]) == (None, ())
 
 
 def test_dihedral_coefficients_vanishing():
