@@ -21,7 +21,8 @@ from .catalog import BUILTINS, builtin
 from .cohomology import cohomology_ring
 from .errors import NotASymmetry, ToricSymError
 from .geometry import (
-    RationalPolygon, format_rational, parse_rational, polygon_from_json,
+    RAT_RE, RationalPolygon, format_point, format_rational, parse_rational,
+    polygon_from_json,
 )
 from .rootsystems import (
     CARTAN, G2_EXPECTED_FIRST, G2_EXPECTED_SECOND, default_offsets,
@@ -108,10 +109,6 @@ def select_group(p: RationalPolygon, spec: str):
     raise ValueError(f"unknown group selector {spec!r}")
 
 
-def _fmt_point(v) -> str:
-    return f"({format_rational(v[0])}, {format_rational(v[1])})"
-
-
 def _matrix_lists(mat) -> list:
     return [[format_rational(x) for x in mat.row(i)] for i in range(mat.rows)]
 
@@ -134,7 +131,7 @@ def run_analyze(name: str, p: RationalPolygon) -> tuple[int, dict, list[str]]:
     }
     lines = [f"polygon: {name} (m = {p.m})",
              f"area: {format_rational(p.area())}",
-             "vertices: " + ", ".join(_fmt_point(v) for v in p.vertices),
+             "vertices: " + ", ".join(format_point(v) for v in p.vertices),
              "edges:"]
     for i, e in enumerate(p.edges):
         lines.append(f"  {i}: normal ({e.normal[0]}, {e.normal[1]}), "
@@ -237,7 +234,7 @@ def run_rootdemo(rstype: str, offset: str | None,
     }
     lines = [f"type {rstype}: weight polytope with {poly.m} edges",
              "offsets: " + ", ".join(payload["offsets"]),
-             "normals: " + ", ".join(_fmt_point(e.normal) for e in poly.edges)]
+             "normals: " + ", ".join(format_point(e.normal) for e in poly.edges)]
     code = 0
     if rstype == "G2":
         table = golden_table(rs, offsets)
@@ -272,10 +269,26 @@ def run_rootdemo(rstype: str, offset: str | None,
     return code, payload, lines
 
 
+def _glue_offset(argv: list[str]) -> list[str]:
+    """argparse takes a value such as -1/2 for an option (only -1 and -0.5
+    look like negative numbers to it), so a rational that follows --offset,
+    or an abbreviation of it, is joined to it: --offset -1/2 becomes
+    --offset=-1/2."""
+    out: list[str] = []
+    for tok in argv:
+        if (out and len(out[-1]) > 2 and "--offset".startswith(out[-1])
+                and RAT_RE.match(tok)):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_offset(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -9,9 +9,12 @@ is 1, m-2, 1 in degrees 0, 2, 4 and zero above.
 
 Polynomials are plain dicts mapping sorted variable-index tuples to
 Fractions. Degree-2 classes are coordinatized on the non-pivot variables of
-the echelonized linear forms; degree-4 classes on the point class, scaled so
-that an adjacent product x_i x_j equals 1/|det(n_i, n_j)| times the point
-class.
+the echelonized linear forms; degree-4 classes on the point class. Degree-4
+products come from the closed-form intersection table of the normal fan
+(Fulton, Introduction to Toric Varieties, ch. 5): with the edge normals n_i
+in counterclockwise order, x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the
+point class, x_i^2 is -det(n_{i-1}, n_{i+1}) / (det(n_{i-1}, n_i)
+det(n_i, n_{i+1})) times it, and every other product is zero.
 """
 
 from __future__ import annotations
@@ -125,14 +128,9 @@ class CohomologyRing:
     betti: tuple[int, int, int]
     deg2_basis: tuple[int, ...]
     _deg2_nf: tuple[Vec, ...]               # per variable
-    _monomials: tuple[tuple[int, int], ...]  # all x_i x_j with i <= j
-    _mono_index: dict[tuple[int, int], int]
-    _red_rows: RatMatrix                     # echelon form of the relations
-    _red_pivots: tuple[int, ...]
-    _free_mono: int                          # index of the surviving monomial
-    _point_scale: Rat                        # reduction value of the point class
     product_table: tuple[tuple[Rat, ...], ...]
     pairing: RatMatrix
+    pairing_rank: int
 
     @property
     def m(self) -> int:
@@ -142,19 +140,6 @@ class CohomologyRing:
 
     def deg2_nf(self, i: int) -> Vec:
         return self._deg2_nf[i]
-
-    def _reduce_deg4(self, vector: Sequence[Rat]) -> Rat:
-        v = list(vector)
-        for k, p in enumerate(self._red_pivots):
-            if v[p]:
-                f = v[p]
-                row = self._red_rows.row(k)
-                for j in range(len(v)):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        for j, x in enumerate(v):
-            assert x == 0 or j == self._free_mono
-        return v[self._free_mono] / self._point_scale
 
     def normal_form(self, f: Poly) -> RingElement:
         """Class of a homogeneous polynomial (degree = 2 * monomial length).
@@ -177,10 +162,9 @@ class CohomologyRing:
                     coords[a] += c * x
             return RingElement(2, tuple(coords))
         if ln == 2:
-            v = [Fraction(0)] * len(self._monomials)
-            for mono, c in f.items():
-                v[self._mono_index[mono]] += c
-            return RingElement(4, (self._reduce_deg4(v),))
+            t = self.product_table
+            return RingElement(4, (sum((c * t[i][j] for (i, j), c in f.items()),
+                                       Fraction(0)),))
         return RingElement(2 * ln, ())
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
@@ -203,6 +187,10 @@ class CohomologyRing:
 
 
 def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
+    """The ring of p, its degree-4 products read off the closed-form
+    intersection table of the normal fan (Fulton, ch. 5; see the module
+    docstring). The table is checked against the linear relations, which
+    must annihilate each of its columns."""
     pres = presentation(p)
     m = p.m
     red2, piv2 = rref(pres.linear_rows)
@@ -218,71 +206,32 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
             k = piv2.index(i)
             nf2.append(tuple(-red2[k, b] for b in basis))
 
-    monomials = tuple((i, j) for i in range(m) for j in range(i, m))
-    mono_index = {mn: a for a, mn in enumerate(monomials)}
-    rel_rows: list[list[Rat]] = []
-    for q in pres.sr_quadratics:
-        row = [Fraction(0)] * len(monomials)
-        row[mono_index[q]] = Fraction(1)
-        rel_rows.append(row)
-    for k in range(m):
-        for r in (0, 1):
-            row = [Fraction(0)] * len(monomials)
-            for i in range(m):
-                c = pres.linear_rows[r, i]
-                if c:
-                    mn = (min(i, k), max(i, k))
-                    row[mono_index[mn]] += c
-            rel_rows.append(row)
-    red4, piv4 = rref(RatMatrix.from_rows(rel_rows))
-    free = [a for a in range(len(monomials)) if a not in piv4]
-    if len(free) != 1:
-        raise UnexpectedBettiNumber(
-            f"degree-4 piece has dimension {len(free)}, expected 1")
-    red4 = RatMatrix.from_rows(red4.row_list()[:len(piv4)])
-
-    # normalize so an adjacent product x_i x_j is the point class divided by
-    # |det(n_i, n_j)|; the first adjacent pair is (0, 1)
-    def raw_reduce(vector):
-        v = list(vector)
-        for k2, p2 in enumerate(piv4):
-            if v[p2]:
-                f = v[p2]
-                row = red4.row(k2)
-                for j in range(len(v)):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        return v[free[0]]
-
-    e01 = [Fraction(0)] * len(monomials)
-    e01[mono_index[(0, 1)]] = Fraction(1)
-    det01 = abs(cross(p.edges[0].normal, p.edges[1].normal))
-    point_scale = det01 * raw_reduce(e01)
-    if point_scale == 0:
-        raise UnexpectedBettiNumber(
-            "the class of an adjacent-edge product vanished")
-
-    table = []
+    n = p.normals()
+    det = [cross(n[i], n[(i + 1) % m]) for i in range(m)]  # det(n_i, n_i+1)
+    table = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
-        row_vals = []
-        for j in range(m):
-            v = [Fraction(0)] * len(monomials)
-            v[mono_index[(min(i, j), max(i, j))]] = Fraction(1)
-            row_vals.append(raw_reduce(v) / point_scale)
-        table.append(tuple(row_vals))
-    table = tuple(table)
+        j = (i + 1) % m
+        table[i][j] = table[j][i] = 1 / abs(det[i])
+        table[i][i] = -cross(n[i - 1], n[j]) / (det[i - 1] * det[i])
+    for r in (0, 1):
+        row = pres.linear_rows.row(r)
+        for i in range(m):
+            if sum((row[k] * table[k][i] for k in range(m) if table[k][i]),
+                   Fraction(0)):
+                raise UnexpectedBettiNumber(
+                    f"linear relation {r} does not annihilate the "
+                    f"intersection numbers of x{i}")
+    table = tuple(tuple(row) for row in table)
 
     pairing = RatMatrix.from_rows(
         [[table[a][b] for b in basis] for a in basis])
-    if rank(pairing) != len(basis):
+    pairing_rank = rank(pairing)
+    if pairing_rank != len(basis):
         raise DegeneratePairing("degree-2 intersection pairing is singular")
-
-    ring = CohomologyRing(
+    return CohomologyRing(
         pres=pres, betti=(1, m - 2, 1), deg2_basis=basis,
-        _deg2_nf=tuple(nf2), _monomials=monomials, _mono_index=mono_index,
-        _red_rows=red4, _red_pivots=piv4, _free_mono=free[0],
-        _point_scale=point_scale, product_table=table, pairing=pairing)
-    return ring
+        _deg2_nf=tuple(nf2), product_table=table, pairing=pairing,
+        pairing_rank=pairing_rank)
 
 
 # ---------------------------------------------------------------------------

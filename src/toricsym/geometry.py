@@ -85,6 +85,10 @@ def format_rational(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_point(v: Sequence) -> str:
+    return f"({format_rational(v[0])}, {format_rational(v[1])})"
+
+
 @dataclass(frozen=True)
 class Edge:
     """One polygon edge: the ccw segment [tail, head] on the supporting line
@@ -163,9 +167,11 @@ def _build(points: list[Point], allow_boundary_origin: bool) -> RationalPolygon:
         a, b, c = points[i], points[(i + 1) % n], points[(i + 2) % n]
         turn = cross((b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1]))
         if turn == 0:
-            raise CollinearTriple(f"vertices {a}, {b}, {c} are collinear")
+            raise CollinearTriple(
+                f"vertices {format_point(a)}, {format_point(b)}, "
+                f"{format_point(c)} are collinear")
         if turn < 0:
-            raise NotConvex(f"reflex turn at vertex {b}")
+            raise NotConvex(f"reflex turn at vertex {format_point(b)}")
     points = _canonical_rotation(points)
     edges = []
     for i in range(n):
@@ -229,8 +235,8 @@ def polygon_from_halfspaces(
         offset = Fraction(a) / s
         if offset >= 0:
             raise OriginNotInterior(
-                f"half-space {prim} with offset {offset} excludes the origin "
-                "from the interior")
+                f"half-space {prim} with offset {format_rational(offset)} "
+                "excludes the origin from the interior")
         cleaned.append((prim, offset))
     if len(cleaned) < 3:
         raise Unbounded("fewer than 3 half-spaces cannot bound a polygon")

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DegenerateOffsets, RedundantHalfspace, Unbounded
 from .exactlin import Rat, RatMatrix
-from .geometry import RationalPolygon, polygon_from_halfspaces
+from .geometry import RationalPolygon, format_point, polygon_from_halfspaces
 from .symmetry import (
     DihedralGroup, FundamentalRegion, Reflection, dihedral_coefficients,
     dihedral_group, fundamental_region,
@@ -163,7 +163,8 @@ def weight_polytope(rs: RootSystem, offsets: OffsetSpec = None) -> RationalPolyg
         poly = polygon_from_halfspaces(halfspaces)
     except (RedundantHalfspace, Unbounded) as exc:
         raise DegenerateOffsets(
-            f"offsets {pair} leave a half-space without an edge: {exc}") from exc
+            f"offsets {format_point(pair)} leave a half-space without an "
+            f"edge: {exc}") from exc
     assert poly.m == 2 * rs.rotation_order
     return poly
 

@@ -32,7 +32,7 @@ from .errors import (
 from .exactlin import Rat, RatMatrix, kernel_basis, solve
 from .geometry import (
     IntVec, Point, RationalPolygon, _region_polygon, clip_halfplane, cross,
-    dot, primitive,
+    dot, format_point, format_rational, primitive,
 )
 
 _ORDER_BOUND = 1000
@@ -91,7 +91,8 @@ def vertex_permutation(p: RationalPolygon, matrix: RatMatrix) -> tuple[int, ...]
     for v in p.vertices:
         w = matrix.mat_vec(v)
         if w not in index:
-            raise NotASymmetry(f"image of vertex {v} is not a vertex")
+            raise NotASymmetry(
+                f"image of vertex {format_point(v)} is not a vertex")
         tau.append(index[w])
     return tuple(tau)
 
@@ -301,7 +302,8 @@ def _match_parents(p: RationalPolygon, region: RationalPolygon,
         key = (e.normal, e.offset)
         if key not in by_halfspace:
             raise InconsistentGeometry(
-                f"region edge {e.normal}, {e.offset} matches no polygon edge")
+                f"region edge {e.normal}, {format_rational(e.offset)} "
+                "matches no polygon edge")
         parents[idx] = by_halfspace[key]
     return mirrors, parents
 
@@ -430,7 +432,8 @@ def _dihedral_region(p: RationalPolygon, group: DihedralGroup,
         j = _point_on_edge_interior(p, far)
         if j is None:
             raise InconsistentGeometry(
-                f"wedge ray endpoint {far} is on neither an edge nor a vertex")
+                f"wedge ray endpoint {format_point(far)} is on neither an "
+                "edge nor a vertex")
         return ("edge", j)
 
     exit1, exit2 = exit_feature(s1_idx), exit_feature(s2_idx)

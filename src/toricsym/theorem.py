@@ -18,7 +18,7 @@ is injective). The two verdicts are compared, never merged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cohomology import (
@@ -27,7 +27,7 @@ from .cohomology import (
     ring_action,
 )
 from .errors import CaseMismatch, InconsistentGeometry
-from .exactlin import Rat, RatMatrix, rank, solve, spans_equal
+from .exactlin import Rat, RatMatrix, rank, same_span, solve
 from .geometry import format_rational
 from .symmetry import (
     DihedralCoefficients, DihedralGroup, FundamentalRegion, Reflection,
@@ -138,6 +138,7 @@ class InvarianceResult:
     fixed_ok: bool   # every image is a fixed vector of every generator
     span_ok: bool    # degree-2 images span exactly the invariant subspace
     witnesses: tuple[str, ...]
+    inv_rank: int | None = None  # rank of the invariant matrix, if recorded
 
 
 def _nf_str(coords) -> str:
@@ -177,7 +178,8 @@ def check_image_invariant(rmap: RingMap, gen_actions, inv_matrix: RatMatrix,
                           names: dict[int, str] | None = None,
                           ) -> InvarianceResult:
     """(a) every generator image is fixed by every generator action;
-    (b) the degree-2 images span exactly the invariant subspace."""
+    (b) the degree-2 images span exactly the invariant subspace. The rank
+    of inv_matrix is kept in the result for the later checks."""
     tgt = rmap.target
     wit = []
     fixed_ok = True
@@ -195,11 +197,12 @@ def check_image_invariant(rmap: RingMap, gen_actions, inv_matrix: RatMatrix,
     dim = len(tgt.deg2_basis)
     image_mat = RatMatrix.from_rows(
         [[col[r] for col in cols] for r in range(dim)])
-    span_ok = spans_equal(image_mat, inv_matrix)
-    wit.append(f"degree-2 image span rank {rank(image_mat)}, invariant "
-               f"rank {rank(inv_matrix)}, spans "
-               f"{'match' if span_ok else 'differ'}")
-    return InvarianceResult(fixed_ok and span_ok, fixed_ok, span_ok, tuple(wit))
+    image_rank, inv_rank = rank(image_mat), rank(inv_matrix)
+    span_ok = same_span(image_mat, image_rank, inv_matrix, inv_rank)
+    wit.append(f"degree-2 image span rank {image_rank}, invariant "
+               f"rank {inv_rank}, spans {'match' if span_ok else 'differ'}")
+    return InvarianceResult(fixed_ok and span_ok, fixed_ok, span_ok,
+                            tuple(wit), inv_rank)
 
 
 @dataclass(frozen=True)
@@ -227,15 +230,19 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
     degree 4. Shortcut: the source pairing is nondegenerate and the degree-4
     scalar is nonzero, so injectivity follows from duality, and fixed images
     plus equal dimensions give surjectivity onto the invariants.
+
+    The ranks of inv_matrix and of the source pairing are read from inv and
+    from the source ring where they were computed.
     """
     src, tgt = rmap.source, rmap.target
     src2 = len(src.deg2_basis)
-    inv2 = rank(inv_matrix)
+    inv2 = rank(inv_matrix) if inv.inv_rank is None else inv.inv_rank
     cols = [tgt.normal_form(rmap.images[b]).coords for b in src.deg2_basis]
     mat = RatMatrix.from_rows(
         [[col[r] for col in cols] for r in range(len(tgt.deg2_basis))])
-    inj2 = rank(mat) == src2
-    spans = spans_equal(mat, inv_matrix)
+    mat_rank = rank(mat)
+    inj2 = mat_rank == src2
+    spans = same_span(mat, mat_rank, inv_matrix, inv2)
 
     probe = poly({(0, 1): 1})  # region edges 0 and 1 are always adjacent
     src_val = src.normal_form(probe).coords[0]
@@ -253,7 +260,7 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
             mult = mult and lhs == rhs
 
     orient = all(a.deg4_scalar == 1 for a in all_actions)
-    pd_ok = rank(src.pairing) == src2
+    pd_ok = src.pairing_rank == src2
     dims = (src2, inv2, 1, 1 if orient else 0)
 
     direct = (well.ok and inv.ok and inj2 and spans and inj4 and mult
@@ -261,7 +268,7 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
     shortcut = (well.ok and inv.fixed_ok and pd_ok and inj4 and orient
                 and src2 == inv2)
     wit = (
-        f"degree-2 rank {rank(mat)} of {src2}, invariant rank {inv2}",
+        f"degree-2 rank {mat_rank} of {src2}, invariant rank {inv2}",
         f"degree-4 scalar {format_rational(scalar)}",
         f"multiplicativity on basis pairs {'holds' if mult else 'fails'}",
         f"group acts on degree 4 by "
@@ -438,11 +445,12 @@ def verify_theorem(p, group, chamber_hint=None) -> VerificationReport:
     gen_actions, all_actions = group_ring_actions(rmap.target, fr)
     inv_matrix = invariant_deg2(rmap.target, gen_actions)
     inv = check_image_invariant(rmap, gen_actions, inv_matrix, names)
-    if not spans_equal(inv_matrix, reynolds_image(rmap.target, all_actions)):
-        inv = InvarianceResult(
-            False, inv.fixed_ok, False,
-            inv.witnesses + ("invariant basis disagrees with the averaging "
-                             "operator image",))
+    averaged = reynolds_image(rmap.target, all_actions)
+    if not same_span(inv_matrix, inv.inv_rank, averaged, rank(averaged)):
+        inv = replace(
+            inv, ok=False, span_ok=False,
+            witnesses=inv.witnesses + ("invariant basis disagrees with the "
+                                       "averaging operator image",))
     checks = check_isomorphism(rmap, gen_actions, all_actions, inv_matrix,
                                well, inv)
     warnings = fr.warnings

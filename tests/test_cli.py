@@ -207,6 +207,51 @@ def test_rootdemo_uniform_offset(capsys):
     assert code == 2
 
 
+def test_rootdemo_spaced_negative_fraction_offset(capsys):
+    # argparse reads "-1/2" as an option unless it is glued to --offset
+    for tag in ("A2", "G2"):
+        for fmt in ("text", "json"):
+            spaced = run(capsys, "rootdemo", "--type", tag, "--offset",
+                         "-1/2", "--format", fmt)
+            glued = run(capsys, "rootdemo", "--type", tag, "--offset=-1/2",
+                        "--format", fmt)
+            assert spaced == glued
+    assert run(capsys, "rootdemo", "--type", "A2", "--offs", "-1/2") == run(
+        capsys, "rootdemo", "--type", "A2", "--offset=-1/2")
+    code, out, _ = run(capsys, "rootdemo", "--type", "A2", "--offset", "-1/2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["offsets"] == ["-1/2", "-1/2"]
+
+
+def test_error_messages_print_rationals_not_reprs(tmp_path, capsys):
+    cases = [
+        ("verify", {"name": "flat", "vertices": [[-1, -1], [0, -1], [1, -1],
+                                                 [0, 1]]}, "CollinearTriple"),
+        ("betti", {"name": "dent", "vertices": [[-2, -2], [2, -2], [0, -1],
+                                                [0, 2]]}, "NotConvex"),
+    ]
+    for cmd, payload, kind in cases:
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, cmd, "--input", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {kind}: ")
+        assert "Fraction(" not in err
+    code, _, err = run(capsys, "rootdemo", "--type", "G2", "--offset", "-1/2")
+    assert code == 2
+    assert err.startswith("error: DegenerateOffsets: offsets (-1/2, -1/2) ")
+    from toricsym.catalog import house_pentagon
+    from toricsym.errors import NotASymmetry
+    from toricsym.exactlin import RatMatrix
+    from toricsym.symmetry import vertex_permutation
+    flip = RatMatrix.from_rows([[1, 0], [0, -1]])
+    with pytest.raises(NotASymmetry) as info:
+        vertex_permutation(house_pentagon(), flip)
+    assert "Fraction(" not in str(info.value)
+    assert str(info.value).startswith("image of vertex (")
+
+
 def test_rootdemo_reference_mismatch_exits_1(capsys, monkeypatch):
     import toricsym.cli as climod
     wrong = (("id", 9, 9),) + climod.G2_EXPECTED_FIRST[1:]

@@ -1,10 +1,13 @@
 """Quotient-ring structure: Betti numbers, normal forms, products, pairing.
 
-Dual route for the ring structure: the package reduces degree-4 classes with
-its own echelon machinery; the oracle below rebuilds the degree-4 relation
-span from the presentation definition and pushes it through sympy's rank /
-nullspace instead. A Groebner-basis route (a third algorithm) pins down the
-square's ring once more.
+Dual route for the ring structure: the package reads degree-4 products off
+the closed-form intersection table of the normal fan (Fulton, Introduction to
+Toric Varieties, ch. 5) and does no elimination in degree 4; the oracle below
+rebuilds the degree-4 relation span from the presentation definition and
+pushes it through sympy's rank / nullspace instead. It runs on the corpus, on
+the fold regions of every corpus polygon and on polygons whose adjacent
+normals are far from unimodular. A Groebner-basis route (a third algorithm)
+pins down the square's ring once more.
 """
 
 from fractions import Fraction
@@ -22,11 +25,38 @@ from toricsym.exactlin import RatMatrix, rank, spans_equal
 from toricsym.geometry import cross, polygon_from_vertices
 from toricsym.symmetry import (
     detect_reflections, dihedral_group, edge_permutation, fundamental_region,
+    maximal_dihedral,
 )
 
 F = Fraction
 
 CORPUS = corpus()
+
+
+def fold_regions():
+    """One region per detected mirror of every corpus polygon, plus the
+    wedge of its maximal dihedral group."""
+    out = {}
+    for name, p in sorted(CORPUS.items()):
+        refs = detect_reflections(p)
+        for k, r in enumerate(refs):
+            out[f"{name}/reflection:{k}"] = fundamental_region(p, r).region
+        if len(refs) >= 2:
+            out[f"{name}/dihedral"] = fundamental_region(
+                p, maximal_dihedral(refs)[0]).region
+    return out
+
+
+REGIONS = fold_regions()
+
+# adjacent normals with |det| from 2 to 27, so that neither the adjacent
+# products nor the self-intersections have trivial denominators
+SKEWED = {
+    "skew_pentagon": polygon_from_vertices(
+        [(-2, -1), (1, -2), (3, 1), (0, 2), (-2, 1)]),
+    "skew_quadrilateral": polygon_from_vertices(
+        [(-3, -1), (2, -3), (3, 2), (-1, 3)]),
+}
 
 
 def test_square_presentation():
@@ -148,9 +178,27 @@ def to_fraction(x):
     return F(int(r.p), int(r.q))
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+ORACLE_CASES = {**CORPUS, **REGIONS, **SKEWED}
+
+
+def test_oracle_cases_cover_every_fold_shape_and_skewed_fans():
+    shapes = set()
+    for name, p in CORPUS.items():
+        refs = detect_reflections(p)
+        shapes |= {fundamental_region(p, r).kind for r in refs}
+        if len(refs) >= 2:
+            shapes.add(fundamental_region(p, maximal_dihedral(refs)[0]).kind)
+    assert shapes == {"1-1", "1-2", "1-3", "2-1", "2-2", "2-3"}
+    assert any(q.m == 3 for n, q in REGIONS.items() if n.endswith("dihedral"))
+    for p in SKEWED.values():
+        dets = [abs(cross(p.edges[i].normal, p.edges[(i + 1) % p.m].normal))
+                for i in range(p.m)]
+        assert sum(d > 1 for d in dets) >= 3
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_oracle_equivalence(name):
-    p = CORPUS[name]
+    p = ORACLE_CASES[name]
     dim4, table = oracle_structure(p)
     assert dim4 == 1
     ring = cohomology_ring(p)

@@ -296,6 +296,30 @@ def test_ninegon_reorder_warning_propagates():
     assert any("reordered" in w for w in rep.warnings)
 
 
+@pytest.mark.parametrize("make, group", [
+    (lambda: builtin("g2"), "dihedral"), (house_pentagon, "mirror"),
+    (ninegon, "dihedral")], ids=["g2", "house", "ninegon"])
+def test_verify_ranks_each_matrix_once(make, group, monkeypatch):
+    import toricsym.cohomology
+    import toricsym.exactlin
+    import toricsym.theorem
+    ranked = []
+    real = toricsym.exactlin.rank
+
+    def counting(a):
+        ranked.append(a)
+        return real(a)
+
+    for module in (toricsym.exactlin, toricsym.cohomology, toricsym.theorem):
+        monkeypatch.setattr(module, "rank", counting)
+    p = make()
+    refs = detect_reflections(p)
+    g = refs[0] if group == "mirror" else dihedral_group(refs[0], refs[1])
+    report = verify_theorem(p, g)
+    assert report.isomorphism and report.pd_shortcut_agrees
+    assert len(ranked) == len(set(ranked)) <= 9
+
+
 def test_verify_rejects_non_symmetry():
     from toricsym.symmetry import Reflection
     p = builtin("square")
