@@ -15,6 +15,12 @@ products come from the closed-form intersection table of the normal fan
 in counterclockwise order, x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the
 point class, x_i^2 is -det(n_{i-1}, n_{i+1}) / (det(n_{i-1}, n_i)
 det(n_i, n_{i+1})) times it, and every other product is zero.
+
+A symmetry of the polygon acts on the ring by permuting the edge variables,
+so a group action is stored as a permutation and nothing else: the image of
+a class is the normal form of the renamed polynomial (permute), and over Q
+the degree-2 invariants are spanned by the classes of the variable orbit
+sums (orbit_sums).
 """
 
 from __future__ import annotations
@@ -167,24 +173,6 @@ class CohomologyRing:
                                        Fraction(0)),))
         return RingElement(2 * ln, ())
 
-    def multiply(self, a: RingElement, b: RingElement) -> RingElement:
-        if a.degree == 0:
-            return RingElement(b.degree, tuple(a.coords[0] * x for x in b.coords))
-        if b.degree == 0:
-            return self.multiply(b, a)
-        if a.degree == 2 and b.degree == 2:
-            s = Fraction(0)
-            for i, ai in zip(self.deg2_basis, a.coords):
-                if not ai:
-                    continue
-                for j, bj in zip(self.deg2_basis, b.coords):
-                    s += ai * bj * self.product_table[i][j]
-            return RingElement(4, (s,))
-        return RingElement(min(a.degree + b.degree, 6), ())
-
-    def point_class(self) -> RingElement:
-        return RingElement(4, (Fraction(1),))
-
 
 def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
     """The ring of p, its degree-4 products read off the closed-form
@@ -240,16 +228,21 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
 
 @dataclass(frozen=True)
 class RingAction:
-    """A permutation of the variables acting as a ring automorphism."""
+    """A permutation of the variables acting as a ring automorphism: x_i
+    goes to x_{perm[i]}, and the point class is multiplied by deg4_scalar."""
 
     perm: tuple[int, ...]
-    deg2_matrix: RatMatrix  # on the deg2 basis, columns = images
     deg4_scalar: Rat
+
+
+def permute(f: Poly, perm: Sequence[int]) -> Poly:
+    """Rename the variables of f: x_i becomes x_{perm[i]}."""
+    return {tuple(sorted(perm[i] for i in mono)): c for mono, c in f.items()}
 
 
 def ring_action(ring: CohomologyRing, perm: Sequence[int]) -> RingAction:
     """Check that permuting variables by perm preserves both ideals and
-    return the induced maps on the graded pieces.
+    return the action with its scalar on degree 4.
 
     Raises NotASymmetry when a permuted linear form is not again a linear
     combination of the linear forms (equivalently, nonzero in degree 2).
@@ -266,46 +259,43 @@ def ring_action(ring: CohomologyRing, perm: Sequence[int]) -> RingAction:
                     f"permutation sends the disjoint pair ({i},{j}) to "
                     "adjacent edges")
     for f in ring.pres.linear_polys():
-        moved = poly({(perm[k[0]],): c for k, c in f.items()})
-        if not ring.normal_form(moved).is_zero():
+        if not ring.normal_form(permute(f, perm)).is_zero():
             raise NotASymmetry(
                 "permutation does not preserve the linear relations")
-    cols = [ring.deg2_nf(perm[b]) for b in ring.deg2_basis]
-    deg2 = RatMatrix.from_rows(
-        [[cols[a][r] for a in range(len(cols))] for r in range(len(cols))])
     det01 = ring.product_table[0][1]
     scalar = ring.product_table[perm[0]][perm[1]] / det01
-    return RingAction(perm, deg2, scalar)
+    return RingAction(perm, scalar)
 
 
 def invariant_deg2(ring: CohomologyRing,
                    actions: Iterable[RingAction]) -> RatMatrix:
-    """Basis (as columns) of the degree-2 invariants of the given actions:
-    the kernel of the stacked (rho - 1) blocks. verify_theorem compares it
-    with reynolds_image over the full group; this function does not."""
-    acts = list(actions)
-    dim = len(ring.deg2_basis)
-    ident = RatMatrix.identity(dim)
-    stacked: Optional[RatMatrix] = None
-    for a in acts:
-        block = a.deg2_matrix.add(ident.scale(-1))
-        stacked = block if stacked is None else stacked.stack(block)
-    if stacked is None:
-        return ident
-    kb = kernel_basis(stacked)
-    kmat = RatMatrix.from_rows(
-        [[v[r] for v in kb] for r in range(dim)]) if kb else RatMatrix.zeros(dim, 0)
-    return kmat
+    """Basis (as columns) of the degree-2 invariants of the given actions,
+    by the kernel route: the kernel of the stacked (rho - 1) blocks, where
+    rho sends the basis class x_b to the class of x_{perm[b]}.
+    verify_theorem compares it with reynolds_image over the full group;
+    this function does not."""
+    basis = ring.deg2_basis
+    rows = []
+    for a in actions:
+        cols = [ring.deg2_nf(a.perm[b]) for b in basis]
+        rows += [[col[r] - (1 if c == r else 0)
+                  for c, col in enumerate(cols)] for r in range(len(basis))]
+    if not rows:
+        return RatMatrix.identity(len(basis))
+    kb = kernel_basis(RatMatrix.from_rows(rows))
+    return RatMatrix.from_rows([[v[r] for v in kb] for r in range(len(basis))])
 
 
 def reynolds_image(ring: CohomologyRing,
                    group_actions: Sequence[RingAction]) -> RatMatrix:
-    """Column span of the averaging operator over a full group's actions."""
-    dim = len(ring.deg2_basis)
-    acc = RatMatrix.zeros(dim, dim)
-    for a in group_actions:
-        acc = acc.add(a.deg2_matrix)
-    return acc.scale(Fraction(1, len(group_actions)))
+    """Columns spanning the image of the averaging operator over a full
+    group's actions. The average of x_i is a multiple of the sum of its
+    orbit, so over Q the image is spanned by the classes of the variable
+    orbit sums, one column per orbit."""
+    sums = orbit_sums(ring.m, [a.perm for a in group_actions])
+    cols = [ring.normal_form(f).coords for f in sums]
+    return RatMatrix.from_rows(
+        [[col[r] for col in cols] for r in range(len(ring.deg2_basis))])
 
 
 def orbit_sums(m: int, perms: Sequence[Sequence[int]]) -> tuple[Poly, ...]:

@@ -52,10 +52,6 @@ class RatMatrix:
             Fraction(1) if i == j else Fraction(0)
             for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zeros(n: int, m: int) -> "RatMatrix":
-        return RatMatrix(n, m, (Fraction(0),) * (n * m))
-
     def __getitem__(self, ij: tuple[int, int]) -> Rat:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -95,22 +91,6 @@ class RatMatrix:
             raise ValueError("shape mismatch")
         return RatMatrix.from_rows(
             [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)])
-
-    def stack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RatMatrix(self.rows + other.rows, self.cols,
-                         self.entries + other.entries)
-
-    def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
-
-    def add(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix(self.rows, self.cols, tuple(
-            a + b for a, b in zip(self.entries, other.entries)))
 
 
 def rref(a: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:

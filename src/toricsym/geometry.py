@@ -163,15 +163,25 @@ def _build(points: list[Point], allow_boundary_origin: bool) -> RationalPolygon:
         raise NotConvex("vertex cycle has zero area")
     if area2 < 0:
         points = [points[0]] + points[1:][::-1]
+    dirs = [(points[(i + 1) % n][0] - points[i][0],
+             points[(i + 1) % n][1] - points[i][1]) for i in range(n)]
     for i in range(n):
-        a, b, c = points[i], points[(i + 1) % n], points[(i + 2) % n]
-        turn = cross((b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1]))
+        turn = cross(dirs[i], dirs[(i + 1) % n])
         if turn == 0:
+            a, b, c = points[i], points[(i + 1) % n], points[(i + 2) % n]
             raise CollinearTriple(
                 f"vertices {format_point(a)}, {format_point(b)}, "
                 f"{format_point(c)} are collinear")
         if turn < 0:
-            raise NotConvex(f"reflex turn at vertex {format_point(b)}")
+            raise NotConvex(
+                f"reflex turn at vertex {format_point(points[(i + 1) % n])}")
+    # every turn is a left turn of less than a half turn, so the edge
+    # directions wind w >= 1 times around, and w counts the steps from the
+    # lower half-plane back into the upper one
+    upper = [d[1] > 0 or (d[1] == 0 and d[0] > 0) for d in dirs]
+    winds = sum(upper[i] and not upper[i - 1] for i in range(n))
+    if winds != 1:
+        raise NotConvex(f"edge directions wind {winds} times around")
     points = _canonical_rotation(points)
     edges = []
     for i in range(n):

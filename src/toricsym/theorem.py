@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cohomology import (
     CohomologyRing, Poly, RingAction, cohomology_ring, invariant_deg2,
-    linear_poly, poly, poly_add, poly_mul, poly_str, reynolds_image,
+    linear_poly, permute, poly, poly_add, poly_mul, poly_str, reynolds_image,
     ring_action,
 )
 from .errors import CaseMismatch, InconsistentGeometry
@@ -177,9 +177,10 @@ def group_ring_actions(ring: CohomologyRing, fr: FundamentalRegion,
 def check_image_invariant(rmap: RingMap, gen_actions, inv_matrix: RatMatrix,
                           names: dict[int, str] | None = None,
                           ) -> InvarianceResult:
-    """(a) every generator image is fixed by every generator action;
-    (b) the degree-2 images span exactly the invariant subspace. The rank
-    of inv_matrix is kept in the result for the later checks."""
+    """(a) every generator image is fixed by every generator action: renaming
+    its variables by the action's permutation leaves its normal form as it
+    is; (b) the degree-2 images span exactly the invariant subspace. The
+    rank of inv_matrix is kept in the result for the later checks."""
     tgt = rmap.target
     wit = []
     fixed_ok = True
@@ -189,8 +190,7 @@ def check_image_invariant(rmap: RingMap, gen_actions, inv_matrix: RatMatrix,
         cols.append(nf.coords)
         label = (names or {}).get(idx, f"x{idx}")
         for k, act in enumerate(gen_actions, start=1):
-            moved = act.deg2_matrix.mat_vec(nf.coords)
-            good = tuple(moved) == tuple(nf.coords)
+            good = tgt.normal_form(permute(img, act.perm)) == nf
             fixed_ok = fixed_ok and good
             wit.append(f"image of {label} {'fixed' if good else 'moved'} "
                        f"by generator {k}")

@@ -225,11 +225,17 @@ def test_rootdemo_spaced_negative_fraction_offset(capsys):
 
 
 def test_error_messages_print_rationals_not_reprs(tmp_path, capsys):
+    pentagram = {"name": "pentagram", "vertices": [
+        [10, 0], [-8, 6], [3, -10], [3, 10], [-8, -6]]}
     cases = [
         ("verify", {"name": "flat", "vertices": [[-1, -1], [0, -1], [1, -1],
                                                  [0, 1]]}, "CollinearTriple"),
         ("betti", {"name": "dent", "vertices": [[-2, -2], [2, -2], [0, -1],
                                                 [0, 2]]}, "NotConvex"),
+        ("analyze", pentagram, "NotConvex"),
+        ("betti", pentagram, "NotConvex"),
+        ("verify", {"name": "square twice", "vertices": [
+            [-1, -1], [1, -1], [1, 1], [-1, 1]] * 2}, "NotConvex"),
     ]
     for cmd, payload, kind in cases:
         path = tmp_path / f"{kind}.json"

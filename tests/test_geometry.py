@@ -26,6 +26,7 @@ from toricsym.geometry import (
 F = Fraction
 
 SQUARE = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+PENTAGRAM = [(10, 0), (-8, 6), (3, -10), (3, 10), (-8, -6)]
 
 # The twelve wall normals of the G2 weight polytope (two coweight orbits)
 # and the family-constant offsets cutting the full 12-gon.
@@ -93,6 +94,11 @@ def test_vertex_validation_errors():
         polygon_from_vertices([(0, 0), (2, 0), (2, 2), (0, 2)])
     with pytest.raises(NotConvex):
         polygon_from_vertices([(0, 1), (1, 0)])
+    # every local turn is a left turn, but the boundary winds twice
+    with pytest.raises(NotConvex):
+        polygon_from_vertices(PENTAGRAM)
+    with pytest.raises(NotConvex):
+        polygon_from_vertices(SQUARE * 2)
 
 
 def test_halfspace_roundtrip_square():
