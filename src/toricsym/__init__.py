@@ -30,12 +30,10 @@ from .rootsystems import (
 from .symmetry import (
     DihedralGroup, FundamentalRegion, Reflection, detect_reflections,
     dihedral_coefficients, dihedral_group, fundamental_region,
-    single_coefficients,
 )
 from .theorem import (
-    RingMap, VerificationReport, build_dihedral_map, build_reflection_map,
-    check_image_invariant, check_isomorphism, check_well_defined,
-    verify_theorem,
+    RingMap, VerificationReport, build_dihedral_map, check_image_invariant,
+    check_isomorphism, check_well_defined, verify_theorem,
 )
 
 __version__ = "0.1.0"
@@ -45,14 +43,14 @@ __all__ = [
     "DegenerateOffsets", "DegeneratePairing", "DihedralGroup",
     "FundamentalRegion", "NotASymmetry", "Presentation", "RationalPolygon",
     "Reflection", "RingElement", "RingMap", "RootSystem", "ToricSymError",
-    "VerificationReport", "build_dihedral_map", "build_reflection_map",
-    "builtin", "check_image_invariant", "check_isomorphism",
-    "check_well_defined", "circle_polygon", "cohomology_ring", "corpus",
-    "d12_polytope", "default_offsets", "detect_reflections",
-    "dihedral_coefficients", "dihedral_group", "format_rational",
-    "fundamental_region", "g2_golden_table", "g2_polytope", "golden_table",
-    "hexagon", "house_pentagon", "invariant_deg2", "ninegon", "orbit_sums",
+    "VerificationReport", "build_dihedral_map", "builtin",
+    "check_image_invariant", "check_isomorphism", "check_well_defined",
+    "circle_polygon", "cohomology_ring", "corpus", "d12_polytope",
+    "default_offsets", "detect_reflections", "dihedral_coefficients",
+    "dihedral_group", "format_rational", "fundamental_region",
+    "g2_golden_table", "g2_polytope", "golden_table", "hexagon",
+    "house_pentagon", "invariant_deg2", "ninegon", "orbit_sums",
     "parse_rational", "polygon_from_halfspaces", "polygon_from_json",
     "polygon_from_vertices", "reynolds_image", "ring_action", "root_system",
-    "single_coefficients", "square", "verify_theorem", "weight_polytope",
+    "square", "verify_theorem", "weight_polytope",
 ]

@@ -304,22 +304,18 @@ def main(argv=None) -> int:
                 code, payload, lines = run_symmetries(name, p)
             else:
                 code, payload, lines = run_verify(name, p, args.group)
+        if args.format == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            text = "\n".join(lines) + "\n"
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ToricSymError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     return code
 
 

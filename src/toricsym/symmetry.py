@@ -1,10 +1,14 @@
 """Linear symmetries of a rational polygon and their fundamental regions.
 
 A reflection is stored with its matrix acting on the polygon's plane; the
-induced action on edge normals is the inverse transpose. For a single
-reflection or a dihedral group the fundamental region is the polygon clipped
-to the negative side of the chosen mirror normal(s); its edges are labeled so
-downstream code can name the surviving pieces of the original boundary:
+induced action on edge normals is the inverse transpose. A single mirror is
+treated as the dihedral group of order 2, {id, sigma} with words () and
+(1,), everywhere past the region's clipping: one edge-permutation table, one
+orbit decomposition and one coefficient table serve both kinds of group.
+For a single reflection or a dihedral group the fundamental region is the
+polygon clipped to the negative side of the chosen mirror normal(s); its
+edges are labeled so downstream code can name the surviving pieces of the
+original boundary:
 
   single mirror   E_1 .. E_n inherited edges inside the region, numbered away
                   from the mirror edge; the mirror may additionally cross one
@@ -26,16 +30,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
-    CaseMismatch, EllTooSmall, InconsistentGeometry, NotASymmetry,
-    NotFiniteOrder, OrientationAmbiguous, PartitionFailure,
+    CaseMismatch, EllTooSmall, Inconsistent, InconsistentGeometry,
+    NotASymmetry, NotFiniteOrder, OrientationAmbiguous, PartitionFailure,
 )
 from .exactlin import Rat, RatMatrix, kernel_basis, solve
 from .geometry import (
-    IntVec, Point, RationalPolygon, _region_polygon, clip_halfplane, cross,
-    dot, format_point, format_rational, primitive,
+    IntVec, Point, RationalPolygon, _region_polygon, clip_halfplane, dot,
+    format_point, format_rational, primitive,
 )
-
-_ORDER_BOUND = 1000
 
 
 def inverse2(m: RatMatrix) -> RatMatrix:
@@ -166,23 +168,6 @@ class DihedralGroup:
     def order(self) -> int:
         return 2 * self.ell
 
-    def element(self, word: Sequence[int]) -> GroupElement:
-        """The element whose matrix equals the product over the given word."""
-        mat = RatMatrix.identity(2)
-        gens = {1: self.s1.matrix, 2: self.s2.matrix}
-        for a in word:
-            mat = mat @ gens[a]
-        return self.by_matrix(mat)
-
-    def by_matrix(self, mat: RatMatrix) -> GroupElement:
-        for e in self.elements:
-            if e.matrix == mat:
-                return e
-        raise KeyError("matrix is not in the group")
-
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.by_matrix(a.matrix @ b.matrix)
-
     def coset_reps(self, i: int) -> tuple[GroupElement, ...]:
         """Elements whose reduced word does not end in s_i: one per length
         0..ell-1, ordered by length (the standard transversal of W/<s_i>)."""
@@ -197,17 +182,20 @@ class DihedralGroup:
 
 
 def dihedral_group(r1: Reflection, r2: Reflection) -> DihedralGroup:
+    """The group generated by r1 and r2, of order 2*ell where ell is the
+    order of the rotation s1*s2. A finite-order element of GL2(Q) with
+    determinant 1 has order 1, 2, 3, 4 or 6: order 2 means -I, and orders 3,
+    4 and 6 are exactly traces -1, 0 and 1."""
     if r1.matrix == r2.matrix:
         raise EllTooSmall("the two generators coincide")
     rot = r1.matrix @ r2.matrix
-    power = rot
-    ell = 1
-    while power != RatMatrix.identity(2):
-        power = power @ rot
-        ell += 1
-        if ell > _ORDER_BOUND:
+    if rot == RatMatrix.from_rows([[-1, 0], [0, -1]]):
+        ell = 2
+    else:
+        ell = {-1: 3, 0: 4, 1: 6}.get(rot[0, 0] + rot[1, 1])
+        if ell is None:
             raise NotFiniteOrder(
-                "product of the two reflections has order beyond the bound")
+                "product of the two reflections has infinite order")
     return _generated(r1, r2, ell)
 
 
@@ -569,48 +557,11 @@ def orbit_decomposition(fr: FundamentalRegion) -> dict[int, tuple[tuple[GroupEle
 
 
 @dataclass(frozen=True)
-class SingleCoefficients:
-    c: dict[int, Rat]  # slot -> coefficient in lambda_{sigma(i)} - lambda_i = c * eta
-    integral: bool
-
-
-def single_coefficients(fr: FundamentalRegion) -> SingleCoefficients:
-    """Reflection coefficients, plus the geometric side conditions: the
-    normal of a crossed edge is fixed by the dual reflection, and in case
-    1-1 the two crossed normals are opposite."""
-    assert isinstance(fr.group, Reflection)
-    p = fr.polygon
-    eta = fr.etas[0]
-    perm = fr.edge_perms[(1,)]
-    dual = dual_matrix(fr.group.matrix)
-    cs: dict[int, Rat] = {}
-    for j, idx in fr.slot_edges.items():
-        lam = p.edges[fr.parent_of[idx]].normal
-        lam_img = p.edges[perm[fr.parent_of[idx]]].normal
-        diff = (Fraction(lam_img[0] - lam[0]), Fraction(lam_img[1] - lam[1]))
-        if cross(diff, eta) != 0:
-            raise InconsistentGeometry(
-                f"normal difference {diff} is not a multiple of eta={eta}")
-        cs[j] = diff[0] / eta[0] if eta[0] != 0 else diff[1] / eta[1]
-    for idx in fr.cross_edges:
-        lam = p.edges[fr.parent_of[idx]].normal
-        if dual.mat_vec(lam) != tuple(map(Fraction, lam)):
-            raise InconsistentGeometry(
-                f"crossed edge normal {lam} is not fixed by the mirror")
-    if fr.kind == "1-1":
-        l1 = p.edges[fr.parent_of[fr.cross_edges[0]]].normal
-        l2 = p.edges[fr.parent_of[fr.cross_edges[1]]].normal
-        if (l1[0] + l2[0], l1[1] + l2[1]) != (0, 0):
-            raise InconsistentGeometry(
-                "the two crossed edge normals must be opposite")
-    return SingleCoefficients(
-        cs, all(v.denominator == 1 for v in cs.values()))
-
-
-@dataclass(frozen=True)
 class DihedralCoefficients:
     """c and d keyed by (element word, slot): the expansion
-    lambda(u(E_j)) - lambda(E_j) = c * eta_1 + d * eta_2."""
+    lambda(u(E_j)) - lambda(E_j) = c * eta_1 + d * eta_2. A single mirror
+    has one eta, so d is empty; its c[((1,), j)] is the slot's reflection
+    coefficient and c[((), j)] is 0."""
 
     sets: dict[int, tuple[GroupElement, ...]]
     c: dict[tuple[tuple[int, ...], int], Rat]
@@ -619,26 +570,38 @@ class DihedralCoefficients:
 
 
 def coefficient_pair(fr: FundamentalRegion, element: GroupElement,
-                     slot: int) -> tuple[Rat, Rat]:
-    """(c, d) for one group element and one slot, from the stored normals."""
+                     slot: int) -> tuple[Rat, ...]:
+    """The normal jump of one group element at one slot in the basis
+    fr.etas: (c,) for a single mirror, (c, d) for a wedge."""
     p = fr.polygon
     parent = fr.parent_of[fr.slot_edges[slot]]
     lam = p.edges[parent].normal
     lam_img = p.edges[fr.edge_perms[element.word][parent]].normal
-    e1, e2 = fr.etas
-    mat = RatMatrix.from_rows([[e1[0], e2[0]], [e1[1], e2[1]]])
-    c, d = solve(mat, (lam_img[0] - lam[0], lam_img[1] - lam[1]))
-    return c, d
+    diff = (Fraction(lam_img[0] - lam[0]), Fraction(lam_img[1] - lam[1]))
+    mat = RatMatrix.from_rows([[eta[r] for eta in fr.etas] for r in (0, 1)])
+    try:
+        return solve(mat, diff)
+    except Inconsistent:
+        raise InconsistentGeometry(
+            f"normal difference {format_point(diff)} is not a multiple of "
+            f"eta={fr.etas[0]}") from None
 
 
 def dihedral_coefficients(fr: FundamentalRegion) -> DihedralCoefficients:
-    assert isinstance(fr.group, DihedralGroup)
+    """The coefficient table of any fold region, over the summation sets of
+    orbit_decomposition (which also proves that the orbits partition the
+    polygon's edges and that every crossed edge is fixed)."""
     sets = {j: tuple(u for u, _ in entries)
             for j, entries in orbit_decomposition(fr).items()}
     c: dict[tuple[tuple[int, ...], int], Rat] = {}
     d: dict[tuple[tuple[int, ...], int], Rat] = {}
     for j, elems in sets.items():
         for u in elems:
-            c[(u.word, j)], d[(u.word, j)] = coefficient_pair(fr, u, j)
+            for table, x in zip((c, d), coefficient_pair(fr, u, j)):
+                table[(u.word, j)] = x
     integral = all(v.denominator == 1 for v in list(c.values()) + list(d.values()))
     return DihedralCoefficients(sets, c, d, integral)
+
+
+# the single-mirror name of the table, kept for older callers
+single_coefficients = dihedral_coefficients

@@ -2,11 +2,12 @@
 and the mechanical certification that they are isomorphisms onto the
 invariant subring.
 
-For a single mirror the map doubles each inherited variable (x_j goes to
-x_j + x_{sigma(j)}), keeps the crossed halves, and sends the mirror variable
-to the weighted sum of the reflected slot variables, weights being the
-normal-jump coefficients. For a dihedral wedge the slot variables go to
-orbit sums and the two mirror variables to the c- and d-weighted orbit sums.
+One builder serves every group, a single mirror being the dihedral group of
+order 2: each slot variable goes to its orbit sum, each crossed half passes
+through, and each mirror variable goes to the orbit sum weighted by its
+normal-jump coefficients (c for the first mirror, d for the second). For a
+single mirror the slot orbit is {x_j, x_{sigma(j)}} and the mirror variable
+becomes the c-weighted sum of the reflected slot variables.
 
 Certification is exact and two-route: every ideal generator of the source
 must reduce to zero in the target, every generator image must be a fixed
@@ -27,12 +28,11 @@ from .cohomology import (
     ring_action,
 )
 from .errors import CaseMismatch, InconsistentGeometry
-from .exactlin import Rat, RatMatrix, rank, same_span, solve
+from .exactlin import Rat, RatMatrix, Vec, rank, same_span, solve
 from .geometry import format_rational
 from .symmetry import (
-    DihedralCoefficients, DihedralGroup, FundamentalRegion, Reflection,
-    SingleCoefficients, dihedral_coefficients, fundamental_region,
-    single_coefficients,
+    DihedralCoefficients, FundamentalRegion, Reflection, dihedral_coefficients,
+    fundamental_region,
 )
 
 
@@ -73,53 +73,32 @@ def variable_names(fr: FundamentalRegion) -> dict[int, str]:
     return names
 
 
-def build_reflection_map(fr: FundamentalRegion,
-                         coeffs: SingleCoefficients | None = None) -> RingMap:
-    """The map for a single mirror: slots double up, crossed halves pass
-    through, the mirror variable becomes the weighted sum of the reflected
-    slot variables."""
-    if not isinstance(fr.group, Reflection):
-        raise CaseMismatch("region was cut out by a dihedral group, "
-                           "not a single reflection")
-    if coeffs is None:
-        coeffs = single_coefficients(fr)
-    perm = fr.edge_perms[(1,)]
-    images: list[Poly] = [{}] * fr.region.m
-    mirror_terms: dict[int, Rat] = {}
-    for j, idx in fr.slot_edges.items():
-        parent = fr.parent_of[idx]
-        images[idx] = linear_poly({parent: 1, perm[parent]: 1})
-        mirror_terms[perm[parent]] = coeffs.c[j]
-    for idx in fr.cross_edges:
-        images[idx] = linear_poly({fr.parent_of[idx]: 1})
-    images[fr.mirror_edges[0]] = linear_poly(mirror_terms)
-    return RingMap(cohomology_ring(fr.region), cohomology_ring(fr.polygon),
-                   tuple(images))
-
-
 def build_dihedral_map(fr: FundamentalRegion,
                        coeffs: DihedralCoefficients | None = None) -> RingMap:
-    """The map for a wedge: each slot variable becomes its orbit sum, the two
-    mirror variables the c- and d-weighted orbit sums."""
-    if not isinstance(fr.group, DihedralGroup):
-        raise CaseMismatch("region was cut out by a single reflection, "
-                           "not a dihedral group")
+    """The map for any fold region: each slot variable becomes its orbit sum
+    over coeffs.sets, each crossed half passes through, and mirror k becomes
+    the orbit sum weighted by the k-th coefficient table (c, then d)."""
     if coeffs is None:
         coeffs = dihedral_coefficients(fr)
     images: list[Poly] = [{}] * fr.region.m
-    c_terms: dict[int, Rat] = {}
-    d_terms: dict[int, Rat] = {}
+    weights: list[dict[int, Rat]] = [{} for _ in fr.mirror_edges]
     for j, idx in fr.slot_edges.items():
         parent = fr.parent_of[idx]
         orbit = [(u, fr.edge_perms[u.word][parent]) for u in coeffs.sets[j]]
         images[idx] = linear_poly({k: 1 for _, k in orbit})
-        for u, k in orbit:
-            c_terms[k] = c_terms.get(k, Fraction(0)) + coeffs.c[(u.word, j)]
-            d_terms[k] = d_terms.get(k, Fraction(0)) + coeffs.d[(u.word, j)]
-    images[fr.mirror_edges[0]] = linear_poly(c_terms)
-    images[fr.mirror_edges[1]] = linear_poly(d_terms)
+        for terms, table in zip(weights, (coeffs.c, coeffs.d)):
+            for u, k in orbit:
+                terms[k] = terms.get(k, Fraction(0)) + table[(u.word, j)]
+    for idx in fr.cross_edges:
+        images[idx] = linear_poly({fr.parent_of[idx]: 1})
+    for idx, terms in zip(fr.mirror_edges, weights):
+        images[idx] = linear_poly(terms)
     return RingMap(cohomology_ring(fr.region), cohomology_ring(fr.polygon),
                    tuple(images))
+
+
+# the single-mirror name of the builder, kept for older callers
+build_reflection_map = build_dihedral_map
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +118,14 @@ class InvarianceResult:
     span_ok: bool    # degree-2 images span exactly the invariant subspace
     witnesses: tuple[str, ...]
     inv_rank: int | None = None  # rank of the invariant matrix, if recorded
+
+
+def _deg2_coords(ring: CohomologyRing, f: Poly) -> Vec:
+    """Coordinates of a degree-2 polynomial in ring.deg2_basis; the empty
+    polynomial is the zero vector, not normal_form's degree-0 class."""
+    if not f:
+        return (Fraction(0),) * len(ring.deg2_basis)
+    return ring.normal_form(f).coords
 
 
 def _nf_str(coords) -> str:
@@ -186,11 +173,11 @@ def check_image_invariant(rmap: RingMap, gen_actions, inv_matrix: RatMatrix,
     fixed_ok = True
     cols = []
     for idx, img in enumerate(rmap.images):
-        nf = tgt.normal_form(img)
-        cols.append(nf.coords)
+        coords = _deg2_coords(tgt, img)
+        cols.append(coords)
         label = (names or {}).get(idx, f"x{idx}")
         for k, act in enumerate(gen_actions, start=1):
-            good = tgt.normal_form(permute(img, act.perm)) == nf
+            good = _deg2_coords(tgt, permute(img, act.perm)) == coords
             fixed_ok = fixed_ok and good
             wit.append(f"image of {label} {'fixed' if good else 'moved'} "
                        f"by generator {k}")
@@ -237,7 +224,7 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
     src, tgt = rmap.source, rmap.target
     src2 = len(src.deg2_basis)
     inv2 = rank(inv_matrix) if inv.inv_rank is None else inv.inv_rank
-    cols = [tgt.normal_form(rmap.images[b]).coords for b in src.deg2_basis]
+    cols = [_deg2_coords(tgt, rmap.images[b]) for b in src.deg2_basis]
     mat = RatMatrix.from_rows(
         [[col[r] for col in cols] for r in range(len(tgt.deg2_basis))])
     mat_rank = rank(mat)
@@ -423,22 +410,19 @@ def verify_theorem(p, group, chamber_hint=None) -> VerificationReport:
     check failures are recorded in the report, never raised.
     """
     fr = fundamental_region(p, group, chamber_hint)
-    if isinstance(fr.group, Reflection):
-        coeffs = single_coefficients(fr)
-        rmap = build_reflection_map(fr, coeffs)
-        coeff_c = {str(j): v for j, v in coeffs.c.items()}
-        coeff_d: dict[str, Rat] = {}
-        integral = coeffs.integral
-    else:
-        dco = dihedral_coefficients(fr)
-        rmap = build_dihedral_map(fr, dco)
-        coeff_c = {}
-        coeff_d = {}
-        for j, elems in dco.sets.items():
-            for u in elems:
-                coeff_c[f"{u.name}:{j}"] = dco.c[(u.word, j)]
-                coeff_d[f"{u.name}:{j}"] = dco.d[(u.word, j)]
-        integral = dco.integral
+    coeffs = dihedral_coefficients(fr)
+    rmap = build_dihedral_map(fr, coeffs)
+    single = isinstance(fr.group, Reflection)
+    coeff_c: dict[str, Rat] = {}
+    coeff_d: dict[str, Rat] = {}
+    for j, elems in coeffs.sets.items():
+        for u in elems:
+            key = (u.word, j)
+            if not single:
+                name = f"{u.name}:{j}"
+                coeff_c[name], coeff_d[name] = coeffs.c[key], coeffs.d[key]
+            elif u.word:  # a mirror's identity row is 0 by definition
+                coeff_c[str(j)] = coeffs.c[key]
 
     names = variable_names(fr)
     well = check_well_defined(rmap, names)
@@ -454,7 +438,7 @@ def verify_theorem(p, group, chamber_hint=None) -> VerificationReport:
     checks = check_isomorphism(rmap, gen_actions, all_actions, inv_matrix,
                                well, inv)
     warnings = fr.warnings
-    if not integral:
+    if not coeffs.integral:
         warnings = warnings + ("some expansion coefficients are not integers",)
     return VerificationReport(
         case=fr.kind, n=fr.n, well_defined=well, image_invariant=inv,

@@ -19,9 +19,9 @@ from toricsym.symmetry import (
     fundamental_region,
 )
 from toricsym.theorem import (
-    build_dihedral_map, build_reflection_map, check_image_invariant,
-    check_well_defined, group_ring_actions, invariance_combination,
-    triangle_identity_term, variable_names, verify_theorem,
+    build_dihedral_map, check_image_invariant, check_well_defined,
+    group_ring_actions, invariance_combination, triangle_identity_term,
+    variable_names, verify_theorem,
 )
 
 F = Fraction
@@ -250,7 +250,7 @@ def test_criterion_7_cancellation_replays():
     p = builtin("square")
     fr = fundamental_region(p, detect_reflections(p)[1])
     assert fr.kind == "1-1"
-    rmap = build_reflection_map(fr)
+    rmap = build_dihedral_map(fr)
     comb = invariance_combination(fr, rmap)
     assert comb == poly({(1,): F(1), (3,): F(-1)})
     assert cohomology_ring(p).normal_form(comb).is_zero()

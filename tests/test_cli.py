@@ -176,6 +176,16 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert obj["isomorphism"] is True
 
 
+def test_output_write_failure_names_the_error_type(tmp_path, capsys):
+    dest = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "analyze", "--builtin", "square",
+                         "--output", str(dest))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: FileNotFoundError: ")
+    assert not dest.parent.exists()
+
+
 def test_rootdemo_g2_matches_reference(capsys):
     code, out, _ = run(capsys, "rootdemo", "--type", "G2", "--format", "json")
     assert code == 0

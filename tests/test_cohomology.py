@@ -260,9 +260,10 @@ def test_ring_action_is_a_representation():
     g = dihedral_group(refl[0], refl[1])
     acts = {e.word: ring_action(ring, edge_permutation(p, e.matrix))
             for e in g.elements}
+    by_matrix = {e.matrix: e for e in g.elements}
     for a in g.elements:
         for b in g.elements:
-            ab = g.multiply(a, b)
+            ab = by_matrix[a.matrix @ b.matrix]
             for i in range(p.m):
                 # act by b, reduce to the degree-2 basis, then act by a
                 moved = ring.normal_form(

@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 
 from toricsym.errors import (
-    EllTooSmall, NotASymmetry, NotFiniteOrder, OrientationAmbiguous,
+    EllTooSmall, InconsistentGeometry, NotASymmetry, NotFiniteOrder,
+    OrientationAmbiguous,
 )
-from toricsym.catalog import ninegon
+from toricsym.catalog import corpus, ninegon
 from toricsym.exactlin import RatMatrix
 from toricsym.geometry import polygon_from_vertices, pt
 from toricsym.symmetry import (
     DihedralGroup, Reflection, coefficient_pair, detect_reflections,
     dihedral_coefficients, dihedral_group, dual_matrix, edge_permutation,
     fundamental_region, maximal_dihedral, orbit_decomposition,
-    single_coefficients,
 )
 
 F = Fraction
@@ -66,8 +66,10 @@ def test_dihedral_group_basics():
     assert [e.name for e in g.coset_reps(2)] == ["id", "s1", "s2s1", "s1s2s1"]
     assert len({e.matrix for e in g.elements}) == 8
     # composition stays inside the group and matches word concatenation
-    prod = g.multiply(g.element((1,)), g.element((2,)))
-    assert prod == g.element((1, 2))
+    by_word = {e.word: e for e in g.elements}
+    by_matrix = {e.matrix: e for e in g.elements}
+    prod = by_matrix[by_word[(1,)].matrix @ by_word[(2,)].matrix]
+    assert prod == by_word[(1, 2)]
     with pytest.raises(EllTooSmall):
         dihedral_group(X_MIRROR, X_MIRROR)
 
@@ -75,8 +77,30 @@ def test_dihedral_group_basics():
 def test_dihedral_group_infinite_order_guard():
     slanted = Reflection.from_matrix(
         M([[F(3, 5), F(4, 5)], [F(4, 5), F(-3, 5)]]))
-    with pytest.raises(NotFiniteOrder):
-        dihedral_group(X_MIRROR, slanted)
+    # rotation of trace 2 (a shear, not I) and of trace -2 (not -I)
+    shear = Reflection.from_matrix(M([[1, 0], [1, -1]]))
+    flipped_shear = Reflection.from_matrix(M([[-1, -1], [0, 1]]))
+    for other in (slanted, shear, flipped_shear):
+        with pytest.raises(NotFiniteOrder):
+            dihedral_group(X_MIRROR, other)
+
+
+def test_dihedral_order_from_the_trace():
+    """The closed-form order agrees with the order of the rotation s1*s2,
+    found by powering it, on every mirror pair of the corpus."""
+    pairs = 0
+    for name, p in corpus().items():
+        refs = detect_reflections(p)
+        for i in range(len(refs)):
+            for j in range(i + 1, len(refs)):
+                g = dihedral_group(refs[i], refs[j])
+                rot = refs[i].matrix @ refs[j].matrix
+                power, order = rot, 1
+                while power != RatMatrix.identity(2):
+                    power, order = power @ rot, order + 1
+                assert g.ell == order, (name, i, j)
+                pairs += 1
+    assert pairs > 0
 
 
 def test_single_region_case_1_1_square():
@@ -88,8 +112,9 @@ def test_single_region_case_1_1_square():
     assert len(fr.cross_edges) == 2 and len(fr.slot_edges) == 1
     slot_edge = fr.region.edges[fr.slot_edges[1]]
     assert slot_edge.normal == (0, -1)  # E_1 is the bottom edge
-    coeffs = single_coefficients(fr)
-    assert coeffs.c == {1: 2}
+    coeffs = dihedral_coefficients(fr)
+    assert coeffs.c == {((), 1): 0, ((1,), 1): 2}
+    assert coeffs.d == {}
     assert coeffs.integral
 
 
@@ -100,7 +125,8 @@ def test_single_region_case_1_3_square_diagonal():
     assert fr.kind == "1-3" and fr.n == 2
     assert fr.cross_edges == ()
     assert len(fr.fixed_vertices) == 2
-    assert single_coefficients(fr).c == {1: 1, 2: 1}
+    assert dihedral_coefficients(fr).c == {
+        ((), 1): 0, ((1,), 1): 1, ((), 2): 0, ((1,), 2): 1}
 
 
 def test_single_region_case_1_2_house():
@@ -116,7 +142,8 @@ def test_single_region_case_1_2_house():
     assert e2.normal == (-1, 0)
     crossed = fr.region.edges[fr.cross_edges[0]]
     assert crossed.normal == (0, -1)
-    assert single_coefficients(fr).c == {1: 2, 2: 2}
+    assert dihedral_coefficients(fr).c == {
+        ((), 1): 0, ((1,), 1): 2, ((), 2): 0, ((1,), 2): 2}
 
 
 def test_chamber_hint_single():
@@ -243,10 +270,11 @@ def test_dihedral_coefficients_vanishing():
         fr = fundamental_region(HEXAGON, g)
         table = dihedral_coefficients(fr)
         group = fr.group
+        by_word = {e.word: e for e in group.elements}
         for j in fr.slots:
             assert table.c[((), j)] == 0 and table.d[((), j)] == 0
-            c_s2, _ = coefficient_pair(fr, group.element((2,)), j)
-            _, d_s1 = coefficient_pair(fr, group.element((1,)), j)
+            c_s2, _ = coefficient_pair(fr, by_word[(2,)], j)
+            _, d_s1 = coefficient_pair(fr, by_word[(1,)], j)
             assert c_s2 == 0 and d_s1 == 0
 
 
@@ -254,9 +282,10 @@ def test_edge_permutation_is_a_homomorphism():
     edge_m, vertex_m = _mirror_kinds(HEXAGON)
     g = dihedral_group(edge_m[0], vertex_m[0])
     perms = {e.word: edge_permutation(HEXAGON, e.matrix) for e in g.elements}
+    by_matrix = {e.matrix: e for e in g.elements}
     for a in g.elements:
         for b in g.elements:
-            ab = g.multiply(a, b)
+            ab = by_matrix[a.matrix @ b.matrix]
             composed = tuple(perms[a.word][perms[b.word][i]]
                              for i in range(HEXAGON.m))
             assert composed == perms[ab.word]
@@ -271,3 +300,45 @@ def test_normals_transform_by_dual_matrix():
             lam = HEXAGON.edges[i].normal
             img = HEXAGON.edges[perm[i]].normal
             assert dual.mat_vec(lam) == tuple(map(F, img))
+
+
+def test_single_mirror_coefficients_are_the_order_two_table():
+    """Every corpus mirror: the sigma row solves the normal jump along eta,
+    the identity row is 0 and there is no second table."""
+    shapes = set()
+    for name, p in corpus().items():
+        for r in detect_reflections(p):
+            fr = fundamental_region(p, r)
+            shapes.add(fr.kind)
+            (eta,) = fr.etas
+            sigma = fr.edge_perms[(1,)]
+            table = dihedral_coefficients(fr)
+            assert table.d == {}, name
+            assert sorted(table.c) == sorted(
+                (w, j) for j in fr.slots for w in ((), (1,))), name
+            for j in fr.slots:
+                parent = fr.parent_of[fr.slot_edges[j]]
+                lam = p.edges[parent].normal
+                lam_img = p.edges[sigma[parent]].normal
+                c = table.c[((1,), j)]
+                assert (c * eta[0], c * eta[1]) == (
+                    lam_img[0] - lam[0], lam_img[1] - lam[1]), (name, j)
+                assert table.c[((), j)] == 0, (name, j)
+    assert shapes == {"1-1", "1-2", "1-3"}
+
+
+def test_normal_jump_off_the_mirror_normal_is_rejected():
+    """A mirror that is not a lattice map can send a primitive normal to a
+    non-primitive multiple of the image edge's normal; the jump then leaves
+    the line of eta, which the coefficient table reports with exact
+    rationals."""
+    r = M([[F(3, 5), F(4, 5)], [F(4, 5), F(-3, 5)]])
+    q = (F(-3), F(-1))
+    p = polygon_from_vertices([(2, 1), q, (-3, F(-3, 2)), r.mat_vec(q)])
+    (refl,) = detect_reflections(p)
+    assert refl.matrix == r
+    fr = fundamental_region(p, refl)
+    with pytest.raises(InconsistentGeometry,
+                       match=r"^normal difference \(-?\d+, -?\d+\) is not a "
+                             r"multiple of eta="):
+        dihedral_coefficients(fr)

@@ -12,11 +12,11 @@ from toricsym.errors import CaseMismatch, NotASymmetry
 from toricsym.exactlin import RatMatrix
 from toricsym.symmetry import (
     detect_reflections, dihedral_coefficients, dihedral_group,
-    fundamental_region, single_coefficients,
+    fundamental_region,
 )
 from toricsym.theorem import (
-    build_dihedral_map, build_reflection_map, invariance_combination,
-    sr_only_reduce, triangle_identity_term, variable_names, verify_theorem,
+    build_dihedral_map, invariance_combination, sr_only_reduce,
+    triangle_identity_term, variable_names, verify_theorem,
 )
 
 F = Fraction
@@ -44,9 +44,10 @@ def test_square_axis_map_images():
     p = builtin("square")
     fr = fundamental_region(p, mirror("square", 1))
     assert fr.kind == "1-1" and fr.n == 1
-    co = single_coefficients(fr)
-    assert co.c == {1: F(2)} and co.integral
-    rmap = build_reflection_map(fr, co)
+    co = dihedral_coefficients(fr)
+    assert co.c == {((), 1): 0, ((1,), 1): F(2)} and co.integral
+    assert co.d == {}
+    rmap = build_dihedral_map(fr, co)
     names = variable_names(fr)
     by_name = {names[i]: rmap.images[i] for i in range(fr.region.m)}
     assert by_name["x_C1"] == lin({0: 1})
@@ -61,9 +62,9 @@ def test_square_diagonal_map_images():
     fr = fundamental_region(p, mirror("square", 0))
     assert fr.kind == "1-3" and fr.n == 2
     assert fr.cross_edges == ()
-    co = single_coefficients(fr)
-    assert co.c == {1: F(1), 2: F(1)}
-    rmap = build_reflection_map(fr, co)
+    co = dihedral_coefficients(fr)
+    assert co.c == {((), 1): 0, ((1,), 1): F(1), ((), 2): 0, ((1,), 2): F(1)}
+    rmap = build_dihedral_map(fr, co)
     names = variable_names(fr)
     by_name = {names[i]: rmap.images[i] for i in range(fr.region.m)}
     assert by_name["x_E1"] == lin({0: 1, 3: 1})
@@ -75,22 +76,15 @@ def test_house_map_images():
     p = house_pentagon()
     fr = fundamental_region(p, detect_reflections(p)[0])
     assert fr.kind == "1-2" and fr.n == 2
-    co = single_coefficients(fr)
-    assert co.c == {1: F(2), 2: F(2)}
-    rmap = build_reflection_map(fr, co)
+    co = dihedral_coefficients(fr)
+    assert co.c == {((), 1): 0, ((1,), 1): F(2), ((), 2): 0, ((1,), 2): F(2)}
+    rmap = build_dihedral_map(fr, co)
     names = variable_names(fr)
     by_name = {names[i]: rmap.images[i] for i in range(fr.region.m)}
     assert by_name["x_C1"] == lin({0: 1})
     assert by_name["x_sigma"] == lin({1: 2, 2: 2})
     assert by_name["x_E1"] == lin({2: 1, 3: 1})
     assert by_name["x_E2"] == lin({1: 1, 4: 1})
-
-
-def test_reflection_map_rejects_dihedral_region():
-    p = builtin("square")
-    fr = fundamental_region(p, pair_group("square", 1, 3))
-    with pytest.raises(CaseMismatch):
-        build_reflection_map(fr)
 
 
 # -- map construction, dihedral ----------------------------------------------
@@ -142,13 +136,6 @@ def test_coefficient_vanishing_rows():
                 assert val == 0, (name, i, j, word, slot)
 
 
-def test_dihedral_map_rejects_single_mirror_region():
-    p = builtin("square")
-    fr = fundamental_region(p, mirror("square", 1))
-    with pytest.raises(CaseMismatch):
-        build_dihedral_map(fr)
-
-
 # -- replayed cancellation identities ----------------------------------------
 
 SINGLE_INSTANCES = [("square", 0), ("square", 1), ("square", 2), ("square", 3),
@@ -173,7 +160,7 @@ def test_single_mirror_combination_vanishes():
     for name, k in SINGLE_INSTANCES:
         p = _polygon(name)
         fr = fundamental_region(p, detect_reflections(p)[k])
-        rmap = build_reflection_map(fr)
+        rmap = build_dihedral_map(fr)
         comb = invariance_combination(fr, rmap)
         assert cohomology_ring(p).normal_form(comb).is_zero(), (name, k)
 
@@ -181,7 +168,7 @@ def test_single_mirror_combination_vanishes():
 def test_square_axis_combination_is_x1_minus_x3():
     p = builtin("square")
     fr = fundamental_region(p, mirror("square", 1))
-    comb = invariance_combination(fr, build_reflection_map(fr))
+    comb = invariance_combination(fr, build_dihedral_map(fr))
     assert comb == lin({1: 1, 3: -1})
 
 
@@ -333,20 +320,28 @@ def test_verify_rejects_non_symmetry():
 # -- negative controls ---------------------------------------------------------
 
 
+NEGATIVE_CONTROLS = [("g2", 0, 1), ("square", 1), ("house", 0), ("square", 0)]
+
+
 def _perturbed_reports():
-    """Bump one expansion coefficient at a time on the order-12 wedge and
-    rerun the checks with everything else untouched."""
-    p = builtin("g2")
-    fr = fundamental_region(p, pair_group("g2", 0, 1))
-    base = dihedral_coefficients(fr)
-    for which in ("c", "d"):
-        table = getattr(base, which)
-        for key in sorted(table):
-            c = dict(base.c)
-            d = dict(base.d)
-            (c if which == "c" else d)[key] += 1
-            yield which, key, base.__class__(
-                sets=base.sets, c=c, d=d, integral=base.integral), fr, p
+    """Bump one expansion coefficient at a time, on the order-12 wedge and on
+    single mirrors of shapes 1-1, 1-2 and 1-3, and rerun the checks with
+    everything else untouched."""
+    for name, *idx in NEGATIVE_CONTROLS:
+        p = _polygon(name)
+        refs = detect_reflections(p)
+        group = (refs[idx[0]] if len(idx) == 1
+                 else dihedral_group(refs[idx[0]], refs[idx[1]]))
+        fr = fundamental_region(p, group)
+        base = dihedral_coefficients(fr)
+        for which in ("c", "d"):
+            table = getattr(base, which)
+            for key in sorted(table):
+                c = dict(base.c)
+                d = dict(base.d)
+                (c if which == "c" else d)[key] += 1
+                yield which, key, base.__class__(
+                    sets=base.sets, c=c, d=d, integral=base.integral), fr, p
 
 
 def test_every_coefficient_perturbation_breaks_a_check():
@@ -355,6 +350,7 @@ def test_every_coefficient_perturbation_breaks_a_check():
     )
     from toricsym.cohomology import invariant_deg2
     count = 0
+    kinds = set()
     for which, key, bad, fr, p in _perturbed_reports():
         rmap = build_dihedral_map(fr, bad)
         names = variable_names(fr)
@@ -362,13 +358,22 @@ def test_every_coefficient_perturbation_breaks_a_check():
         gens, _ = group_ring_actions(rmap.target, fr)
         inv = invariant_deg2(rmap.target, gens)
         fixed = check_image_invariant(rmap, gens, inv, names)
-        assert not (well.ok and fixed.ok), (which, key)
+        assert not (well.ok and fixed.ok), (fr.kind, which, key)
+        kinds.add(fr.kind)
         count += 1
-    assert count == 24
+    # 24 on the wedge; (id, sigma) per slot on the mirrors with n = 1, 2, 2
+    assert count == 24 + 2 + 4 + 4
+    assert kinds == {"2-1", "1-1", "1-2", "1-3"}
 
 
 def test_zero_coefficients_give_empty_mirror_images():
-    # keeps the orbit sums but erases both mirror variables
+    # keeps the orbit sums but erases both mirror variables; the checks
+    # record the failure instead of raising
+    from toricsym.theorem import (
+        check_image_invariant, check_isomorphism, check_well_defined,
+        group_ring_actions,
+    )
+    from toricsym.cohomology import invariant_deg2
     p = builtin("g2")
     fr = fundamental_region(p, pair_group("g2", 0, 1))
     base = dihedral_coefficients(fr)
@@ -378,6 +383,20 @@ def test_zero_coefficients_give_empty_mirror_images():
     names = variable_names(fr)
     empty = [names[i] for i in range(fr.region.m) if rmap.images[i] == {}]
     assert sorted(empty) == ["x_s1", "x_s2"]
+    well = check_well_defined(rmap, names)
+    gens, full = group_ring_actions(rmap.target, fr)
+    inv_matrix = invariant_deg2(rmap.target, gens)
+    inv = check_image_invariant(rmap, gens, inv_matrix, names)
+    assert not well.ok
+    # the zero class is fixed, and the slot orbit sums alone span the
+    # invariants
+    assert inv.ok and "image of x_s1 fixed by generator 1" in inv.witnesses
+    checks = check_isomorphism(rmap, gens, full, inv_matrix, well, inv)
+    # the degree-2 basis of the source is the two mirror variables
+    assert checks.witnesses[0] == "degree-2 rank 0 of 2, invariant rank 2"
+    assert not (checks.injective_deg2 or checks.spans_invariants
+                or checks.multiplicative)
+    assert not checks.direct and not checks.shortcut
 
 
 # -- report serialization --------------------------------------------------------
