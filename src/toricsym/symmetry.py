@@ -1,32 +1,38 @@
 """Linear symmetries of a rational polygon and their fundamental regions.
 
 A reflection is stored with its matrix acting on the polygon's plane; the
-induced action on edge normals is the inverse transpose. A single mirror is
-treated as the dihedral group of order 2, {id, sigma} with words () and
-(1,), everywhere past the region's clipping: one edge-permutation table, one
+induced action on edge normals is the inverse transpose. Only integer
+matrices count: the group must act on the lattice to act on the toric
+surface. A single mirror is the dihedral group of order 2, {id, sigma} with
+words () and (1,): one region builder, one edge-permutation table, one
 orbit decomposition and one coefficient table serve both kinds of group.
-For a single reflection or a dihedral group the fundamental region is the
-polygon clipped to the negative side of the chosen mirror normal(s); its
-edges are labeled so downstream code can name the surviving pieces of the
-original boundary:
 
-  single mirror   E_1 .. E_n inherited edges inside the region, numbered away
-                  from the mirror edge; the mirror may additionally cross one
-                  or two polygon edges (their halves keep the parent's normal
-                  and offset) or pass through one or two vertices,
-  dihedral wedge  two mirror edges meeting at the origin, with slot edges
-                  between them numbered from the s1 side.
+The fundamental region is the polygon clipped by each chosen mirror normal
+eta in turn, to its side <x, eta> <= 0. A mirror's half-plane is the wedge
+of angle pi between the two rays of its line, so every region has exactly
+two rays: both ends of a mirror's chord, or the far end of each of a
+wedge's two mirror edges. Each ray ends at a vertex of the polygon or
+crosses one of its edges, and the other region edges form one arc from one
+ray to the other. The shape is called k-x, where k is the number of etas
+and x - 1 the number of rays ending at a vertex: 1-1, 1-2 and 1-3 for a
+mirror, 2-1, 2-2 and 2-3 for a wedge. The arc is labeled in one of two
+ways:
 
-The three single-mirror shapes are called cases 1-1 (two crossed edges),
-1-2 (one edge, one vertex) and 1-3 (two vertices); the dihedral shapes are
-2-1 (both wedge rays cross edges), 2-2 (s1 ray crosses an edge, s2 ray exits
-a vertex) and 2-3 (both rays exit vertices).
+  mirror  an edge crossed by a ray leaves a half that keeps the parent's
+          normal and offset; the halves are C1 and C2 and the rest are the
+          slots E_1 .. E_n, numbered from a ray ending at a vertex, and
+          ccw when both rays end alike,
+  wedge   the slots run from the s1 ray to the s2 ray; a ray ending at a
+          vertex stands for a slot of zero length, so E_1 is absent in 2-3
+          and E_n in 2-2 and 2-3, and s1 is the generator whose ray
+          crosses an edge when only one does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import (
@@ -35,7 +41,7 @@ from .errors import (
 )
 from .exactlin import Rat, RatMatrix, kernel_basis, solve
 from .geometry import (
-    IntVec, Point, RationalPolygon, _region_polygon, clip_halfplane, dot,
+    IntVec, RationalPolygon, _region_polygon, clip_halfplane, dot,
     format_point, format_rational, primitive,
 )
 
@@ -62,6 +68,9 @@ class Reflection:
 
     @staticmethod
     def from_matrix(matrix: RatMatrix) -> "Reflection":
+        if not _integral(matrix):
+            raise NotASymmetry("the matrix is not a lattice map: a "
+                               "reflection must have integer entries")
         a, b, c, d = matrix.entries
         if a * d - b * c != -1:
             raise NotASymmetry("a reflection must have determinant -1")
@@ -83,6 +92,10 @@ class Reflection:
         enumerated."""
         return (GroupElement((), RatMatrix.identity(2)),
                 GroupElement((1,), self.matrix))
+
+
+def _integral(matrix: RatMatrix) -> bool:
+    return all(x.denominator == 1 for x in matrix.entries)
 
 
 def vertex_permutation(p: RationalPolygon, matrix: RatMatrix) -> tuple[int, ...]:
@@ -116,8 +129,9 @@ def edge_permutation(p: RationalPolygon, matrix: RatMatrix) -> tuple[int, ...]:
 
 
 def detect_reflections(p: RationalPolygon) -> tuple[Reflection, ...]:
-    """All reflections preserving p, in the order of their vertex pairings
-    v_i -> v_{k-i} for k = 0..m-1."""
+    """All lattice reflections preserving p, in the order of their vertex
+    pairings v_i -> v_{k-i} for k = 0..m-1. A pairing whose linear map is
+    not an integer matrix does not act on the lattice, so it is skipped."""
     vs = p.vertices
     m = p.m
     basis = RatMatrix.from_rows([[vs[0][0], vs[1][0]], [vs[0][1], vs[1][1]]])
@@ -127,7 +141,8 @@ def detect_reflections(p: RationalPolygon) -> tuple[Reflection, ...]:
         t0, t1 = vs[k % m], vs[(k - 1) % m]
         target = RatMatrix.from_rows([[t0[0], t1[0]], [t0[1], t1[1]]])
         cand = target @ binv
-        if all(cand.mat_vec(vs[i]) == vs[(k - i) % m] for i in range(m)):
+        if _integral(cand) and all(
+                cand.mat_vec(vs[i]) == vs[(k - i) % m] for i in range(m)):
             found.append(Reflection.from_matrix(cand))
     return tuple(found)
 
@@ -244,12 +259,17 @@ def maximal_dihedral(refs: Sequence[Reflection],
 class FundamentalRegion:
     """The clipped region together with its edge labeling.
 
-    kind is one of "1-1", "1-2", "1-3", "2-1", "2-2", "2-3". slot_edges maps
-    the label number j of E_j to a region edge index; mirror_edges holds the
-    region indices of the mirror edge(s) (one for a single reflection, two
-    for a wedge, in generator order); cross_edges holds, for single-mirror
-    cases, the region indices of the crossed halves in label order
-    (E_{2n+1}, then E_{2n+2} when present). parent_of sends non-mirror region
+    kind is "k-x" with k = len(etas) and x - 1 the number of rays ending at
+    a vertex (see the module docstring). exits holds, for both kinds of
+    group, where the two rays end, as ("vertex", polygon vertex index) or
+    ("edge", polygon edge index): a wedge's in generator order, a mirror's
+    with the ray at E_1's end first. slot_edges maps the label number j of
+    E_j to a region edge index; mirror_edges holds the region indices of the
+    mirror edge(s) (one for a single reflection, two for a wedge, in
+    generator order); cross_edges holds, for single-mirror cases, the region
+    indices of the crossed halves in label order (E_{2n+1}, then E_{2n+2}
+    when present): C1, the cw neighbour of the mirror edge, before C2, the
+    ccw one. parent_of sends non-mirror region
     edges to the polygon edge they came from. edge_perms maps the word of
     every element of group (a single mirror counts as the order-2 group, see
     Reflection.elements) to its permutation pi of the polygon's edges, with
@@ -268,8 +288,7 @@ class FundamentalRegion:
     cross_edges: tuple[int, ...]
     parent_of: dict[int, int]
     edge_perms: dict[tuple[int, ...], tuple[int, ...]]
-    exits: tuple[tuple[str, int], ...]  # per mirror ray: ("edge"|"vertex", idx)
-    fixed_vertices: tuple[int, ...]
+    exits: tuple[tuple[str, int], ...]
     warnings: tuple[str, ...] = ()
 
     @property
@@ -296,172 +315,76 @@ def _match_parents(p: RationalPolygon, region: RationalPolygon,
     return mirrors, parents
 
 
-def _truncated(region: RationalPolygon, idx: int, p: RationalPolygon,
-               parent: int) -> bool:
-    e, pe = region.edges[idx], p.edges[parent]
-    return (e.tail, e.head) != (pe.tail, pe.head)
+def _region(p: RationalPolygon, group: "Reflection | DihedralGroup",
+            etas: tuple[IntVec, ...], perms: dict[RatMatrix, tuple[int, ...]],
+            warnings: tuple[str, ...]) -> FundamentalRegion:
+    """Clip p by each eta in turn and label the region's edges.
 
-
-def _walk_from(region: RationalPolygon, start: int, avoid: set[int]) -> list[int]:
-    """Region edge indices starting next to `start`, walking the cyclic order
-    away from it, skipping nothing, stopping before any index in avoid."""
-    m = region.m
-    for step in (1, -1):
-        first = (start + step) % m
-        if first not in avoid:
-            out = []
-            i = first
-            while i not in avoid and i != start:
-                out.append(i)
-                i = (i + step) % m
-            return out
-    return []
-
-
-def _single_region(p: RationalPolygon, r: Reflection, eta: IntVec,
-                   perms: dict[RatMatrix, tuple[int, ...]],
-                   warnings: tuple[str, ...]) -> FundamentalRegion:
-    pts = clip_halfplane(p.vertices, eta)
+    The mirror edges meet the boundary of p at two rays' ends (both ends of
+    a mirror's chord, the far end of each wedge edge), and the other region
+    edges form one arc between them. A ray ends at a vertex of p or crosses
+    the edge that the arc's end edge comes from.
+    """
+    pts = p.vertices
+    for eta in etas:
+        pts = clip_halfplane(pts, eta)
     region = _region_polygon(pts)
-    if region.area() * 2 != p.area():
-        raise InconsistentGeometry("half region does not have half the area")
-    mirrors, parents = _match_parents(p, region, [eta])
-    if len(mirrors) != 1:
-        raise InconsistentGeometry("expected exactly one mirror edge")
-    mirror_idx = next(iter(mirrors))
-    crossed = [i for i in parents if _truncated(region, i, p, parents[i])]
-    fixed_vertices = tuple(
-        i for i, v in enumerate(p.vertices) if dot(v, eta) == 0)
-    n_inherited = len(parents) - len(crossed)
-    if len(crossed) == 2:
-        kind = "1-1"
-    elif len(crossed) == 1 and len(fixed_vertices) == 1:
-        kind = "1-2"
-    elif len(fixed_vertices) == 2:
-        kind = "1-3"
-    else:
-        raise CaseMismatch(
-            f"mirror meets boundary in {len(crossed)} edges and "
-            f"{len(fixed_vertices)} vertices")
-    n = n_inherited
-    if p.m != {"1-1": 2 * n + 2, "1-2": 2 * n + 1, "1-3": 2 * n}[kind]:
-        raise CaseMismatch("edge count does not match the detected case")
-
-    m = region.m
-    after = (mirror_idx + 1) % m          # ccw neighbor of the mirror edge
-    before = (mirror_idx - 1) % m
-    slot_edges: dict[int, int] = {}
-    cross_edges: tuple[int, ...] = ()
-    if kind == "1-1":
-        # ccw cyclic order is mirror, E_{2n+2}, E_1 .. E_n, E_{2n+1}
-        cross_edges = (before, after)
-        walk = _walk_from(region, after, {mirror_idx, before})
-        for j, idx in enumerate(walk, start=1):
-            slot_edges[j] = idx
-    elif kind == "1-2":
-        cross_idx = crossed[0]
-        walk = _walk_from(region, mirror_idx, {mirror_idx, cross_idx})
-        # E_1 sits at the fixed-vertex end of the mirror edge, E_n next to
-        # the crossed half
-        for j, idx in enumerate(walk, start=1):
-            slot_edges[j] = idx
-        cross_edges = (cross_idx,)
-    else:
-        walk = _walk_from(region, mirror_idx, {mirror_idx})
-        for j, idx in enumerate(walk, start=1):
-            slot_edges[j] = idx
-    if sorted(slot_edges.values()) != sorted(
-            set(parents) - set(cross_edges)):
-        raise CaseMismatch("slot labeling does not cover the region edges")
-    return FundamentalRegion(
-        polygon=p, region=region, group=r, etas=(eta,), kind=kind, n=n,
-        mirror_edges=(mirror_idx,), slot_edges=slot_edges,
-        cross_edges=cross_edges, parent_of=parents,
-        edge_perms={e.word: perms[e.matrix] for e in r.elements}, exits=(),
-        fixed_vertices=fixed_vertices, warnings=warnings)
-
-
-def _point_on_edge_interior(p: RationalPolygon, q: Point) -> Optional[int]:
-    for j, e in enumerate(p.edges):
-        if dot(q, e.normal) + e.offset == 0:
-            lo, hi = e.tail, e.head
-            seg = (hi[0] - lo[0], hi[1] - lo[1])
-            t_num = dot((q[0] - lo[0], q[1] - lo[1]), seg)
-            t_den = dot(seg, seg)
-            if 0 < t_num < t_den:
-                return j
-    return None
-
-
-def _dihedral_region(p: RationalPolygon, group: DihedralGroup,
-                     etas: tuple[IntVec, IntVec],
-                     perms: dict[RatMatrix, tuple[int, ...]],
-                     warnings: tuple[str, ...]) -> FundamentalRegion:
-    pts = clip_halfplane(p.vertices, etas[0])
-    pts = clip_halfplane(pts, etas[1])
-    region = _region_polygon(pts)
-    if region.area() * group.order != p.area():
-        raise InconsistentGeometry("wedge area is not area(P)/|W|")
-    mirrors, parents = _match_parents(p, region, list(etas))
-    if len(mirrors) != 2 or sorted(mirrors.values()) != [0, 1]:
+    order = len(group.elements)
+    if region.area() * order != p.area():
+        raise InconsistentGeometry("region area is not area(P)/|W|")
+    mirrors, parents = _match_parents(p, region, etas)
+    if sorted(mirrors.values()) != list(range(len(etas))):
         raise InconsistentGeometry("expected one mirror edge per generator")
-    mirror_of = {which: idx for idx, which in mirrors.items()}
-    s1_idx, s2_idx = mirror_of[0], mirror_of[1]
-
-    origin = (Fraction(0), Fraction(0))
-
-    def exit_feature(mirror_idx: int) -> tuple[str, int]:
-        e = region.edges[mirror_idx]
-        if origin not in (e.tail, e.head):
-            raise InconsistentGeometry("mirror edge does not start at the origin")
-        far = e.head if e.tail == origin else e.tail
-        if far in p.vertices:
-            return ("vertex", p.vertices.index(far))
-        j = _point_on_edge_interior(p, far)
-        if j is None:
-            raise InconsistentGeometry(
-                f"wedge ray endpoint {format_point(far)} is on neither an "
-                "edge nor a vertex")
-        return ("edge", j)
-
-    exit1, exit2 = exit_feature(s1_idx), exit_feature(s2_idx)
-    if exit1[0] == "vertex" and exit2[0] == "edge":
-        # normalize so the edge-crossing generator is s1
-        return _dihedral_region(
-            p, group.swapped(), (etas[1], etas[0]), perms,
-            warnings + ("generators reordered so that the mirror crossing "
-                        "an edge interior is s1",))
-    kind = {("edge", "edge"): "2-1", ("edge", "vertex"): "2-2",
-            ("vertex", "vertex"): "2-3"}[(exit1[0], exit2[0])]
-    count = len(parents)
-    ell = group.ell
-    if kind == "2-1":
-        n = count
-        expected_m = 2 * ell * (n - 1)
-        first_slot = 1
-    elif kind == "2-2":
-        n = count + 1
-        expected_m = ell * (2 * n - 3)
-        first_slot = 1
+    m = region.m
+    last = next(i for i in mirrors if (i + 1) % m not in mirrors)
+    arc = [(last + k) % m for k in range(1, len(parents) + 1)]
+    if set(arc) != set(parents):
+        raise InconsistentGeometry("slot edges do not form one arc")
+    # the ray at the arc's start, then the one at its end
+    ends = ((arc[0], region.vertices[arc[0]]),
+            (arc[-1], region.vertices[(arc[-1] + 1) % m]))
+    exits = [("vertex", p.vertices.index(q)) if q in p.vertices
+             else ("edge", parents[idx]) for idx, q in ends]
+    crossed = [idx for (idx, _), (feature, _) in zip(ends, exits)
+               if feature == "edge"]
+    vertex_ends = len(exits) - len(crossed)
+    if len(etas) == 1:
+        # C1 is the cw neighbour of the mirror edge; the slots are numbered
+        # from a vertex end, ccw when both ends are alike
+        cross_edges = tuple(reversed(crossed))
+        if [f for f, _ in exits] == ["edge", "vertex"]:
+            arc.reverse()
+            exits.reverse()
+        slots = [idx for idx in arc if idx not in crossed]
+        first, n = 1, len(slots)
     else:
-        n = count + 2
-        expected_m = 2 * ell * (n - 2)
-        first_slot = 2
+        # a wedge numbers its slots from s1, whose ray crosses an edge
+        # whenever either ray does
+        if mirrors[last] == 1:
+            arc.reverse()
+            exits.reverse()
+        if [f for f, _ in exits] == ["vertex", "edge"]:
+            return _region(
+                p, group.swapped(), etas[::-1], perms,
+                warnings + ("generators reordered so that the mirror "
+                            "crossing an edge interior is s1",))
+        cross_edges, slots = (), arc
+        first = 2 if exits[0][0] == "vertex" else 1
+        n = len(arc) + vertex_ends
+    kind = f"{len(etas)}-{1 + vertex_ends}"
+    # a parent's orbit has |W| edges, or |W|/2 when a ray crosses it
+    expected_m = order * len(parents) - order // 2 * len(crossed)
     if p.m != expected_m:
         raise CaseMismatch(
-            f"case {kind} with n={n}, ell={ell} needs m={expected_m}, "
+            f"case {kind} with n={n}, ell={order // 2} needs m={expected_m}, "
             f"polygon has {p.m}")
-    walk = _walk_from(region, s1_idx, {s1_idx, s2_idx})
-    if len(walk) != count:
-        raise InconsistentGeometry("slot edges do not form one arc")
-    slot_edges = {first_slot + k: idx for k, idx in enumerate(walk)}
     return FundamentalRegion(
         polygon=p, region=region, group=group, etas=etas, kind=kind, n=n,
-        mirror_edges=(s1_idx, s2_idx), slot_edges=slot_edges,
-        cross_edges=(), parent_of=parents,
+        mirror_edges=tuple(sorted(mirrors, key=mirrors.get)),
+        slot_edges={first + k: idx for k, idx in enumerate(slots)},
+        cross_edges=cross_edges, parent_of=parents,
         edge_perms={e.word: perms[e.matrix] for e in group.elements},
-        exits=(exit1, exit2),
-        fixed_vertices=(), warnings=warnings)
+        exits=tuple(exits), warnings=warnings)
 
 
 def fundamental_region(p: RationalPolygon,
@@ -477,24 +400,15 @@ def fundamental_region(p: RationalPolygon,
     """
     # NotASymmetry here when a generator does not preserve p
     perms = {e.matrix: edge_permutation(p, e.matrix) for e in group.elements}
+    warnings: tuple[str, ...] = ()
     if isinstance(group, Reflection):
-        base = group.mirror_normal
-        sign_sets = [(base,), ((-base[0], -base[1]),)]
-        builder = lambda etas, warns: _single_region(
-            p, group, etas[0], perms, warns)
-        warnings: tuple[str, ...] = ()
+        normals: tuple[IntVec, ...] = (group.mirror_normal,)
     else:
-        b1, b2 = group.s1.mirror_normal, group.s2.mirror_normal
-        sign_sets = [
-            (b1, b2), (b1, (-b2[0], -b2[1])),
-            ((-b1[0], -b1[1]), b2), ((-b1[0], -b1[1]), (-b2[0], -b2[1])),
-        ]
-        builder = lambda etas, warns: _dihedral_region(
-            p, group, etas, perms, warns)
-        warnings = ()
+        normals = (group.s1.mirror_normal, group.s2.mirror_normal)
         if group.ell == 2:
             warnings = ("dihedral group with ell=2 (perpendicular mirrors): "
                         "outside the usual ell>=3 setting, handled anyway",)
+    sign_sets = list(product(*[(b, (-b[0], -b[1])) for b in normals]))
 
     if chamber_hint is not None:
         hint = tuple(Fraction(x) for x in chamber_hint)
@@ -504,14 +418,14 @@ def fundamental_region(p: RationalPolygon,
             raise OrientationAmbiguous(
                 "chamber hint lies on a mirror line and selects no candidate")
         try:
-            return builder(chosen[0], warnings)
+            return _region(p, group, chosen[0], perms, warnings)
         except InconsistentGeometry as exc:
             raise OrientationAmbiguous(
                 f"chamber hint does not select a fundamental wedge: {exc}")
     candidates = []
     for etas in sign_sets:
         try:
-            candidates.append(builder(etas, warnings))
+            candidates.append(_region(p, group, etas, perms, warnings))
         except InconsistentGeometry:
             continue
     if not candidates:
@@ -538,7 +452,7 @@ def orbit_decomposition(fr: FundamentalRegion) -> dict[int, tuple[tuple[GroupEle
     used: list[int] = []
     for j, idx in fr.slot_edges.items():
         parent = fr.parent_of[idx]
-        if isinstance(group, DihedralGroup) and j in (1, fr.n):
+        if len(fr.etas) == 2 and j in (1, fr.n):
             summation = group.coset_reps(1 if j == 1 else 2)
         else:
             summation = group.elements

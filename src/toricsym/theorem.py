@@ -31,7 +31,7 @@ from .errors import CaseMismatch, InconsistentGeometry
 from .exactlin import Rat, RatMatrix, Vec, rank, same_span, solve
 from .geometry import format_rational
 from .symmetry import (
-    DihedralCoefficients, FundamentalRegion, Reflection, dihedral_coefficients,
+    DihedralCoefficients, FundamentalRegion, dihedral_coefficients,
     fundamental_region,
 )
 
@@ -60,12 +60,8 @@ class RingMap:
 
 def variable_names(fr: FundamentalRegion) -> dict[int, str]:
     """Readable names for the region variables, used in check witnesses."""
-    names: dict[int, str] = {}
-    if isinstance(fr.group, Reflection):
-        names[fr.mirror_edges[0]] = "x_sigma"
-    else:
-        names[fr.mirror_edges[0]] = "x_s1"
-        names[fr.mirror_edges[1]] = "x_s2"
+    mirror_names = ("x_sigma",) if len(fr.etas) == 1 else ("x_s1", "x_s2")
+    names = dict(zip(fr.mirror_edges, mirror_names))
     for j, idx in fr.slot_edges.items():
         names[idx] = f"x_E{j}"
     for a, idx in enumerate(fr.cross_edges, start=1):
@@ -283,7 +279,7 @@ def invariance_combination(fr: FundamentalRegion, rmap: RingMap,
     linear relation, so its class in the target must vanish.
     """
     p = fr.polygon
-    if isinstance(fr.group, Reflection):
+    if len(fr.etas) == 1:
         if generator != 1:
             raise CaseMismatch("a single mirror has only generator 1")
         eta = fr.etas[0]
@@ -412,7 +408,7 @@ def verify_theorem(p, group, chamber_hint=None) -> VerificationReport:
     fr = fundamental_region(p, group, chamber_hint)
     coeffs = dihedral_coefficients(fr)
     rmap = build_dihedral_map(fr, coeffs)
-    single = isinstance(fr.group, Reflection)
+    single = len(fr.etas) == 1
     coeff_c: dict[str, Rat] = {}
     coeff_d: dict[str, Rat] = {}
     for j, elems in coeffs.sets.items():

@@ -72,6 +72,21 @@ def test_symmetries_no_mirror(capsys):
         os.unlink(path)
 
 
+def test_mirror_that_is_not_a_lattice_map_is_not_listed(tmp_path, capsys):
+    # the plane mirror [[3/5, 4/5], [4/5, -3/5]] maps this 4-gon to itself
+    # but does not act on the lattice, so the polygon has no symmetry
+    path = tmp_path / "nonlattice.json"
+    path.write_text(json.dumps({"name": "nonlattice", "vertices": [
+        [2, 1], [-3, -1], ["-3", "-3/2"], ["-13/5", "-9/5"]]}))
+    code, out, _ = run(capsys, "symmetries", "--input", str(path),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["reflections"] == []
+    code, _, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error: NotASymmetry: ")
+
+
 def test_verify_auto_picks_maximal_group(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "g2")
     assert code == 0

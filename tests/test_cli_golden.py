@@ -1,7 +1,9 @@
-"""Frozen `--format json` CLI output, compared byte for byte.
+"""Frozen CLI output, compared byte for byte.
 
 Each case is one command line; the expected exit code, stdout and stderr
-live in tests/data/cli_golden.json. Refactors of the symmetry bookkeeping
+live in tests/data/cli_golden.json. Keys without a suffix are `--format
+json` runs; keys ending in " text" are `--format text` runs, whose
+`group:` line is the only place the CLI describes the selected group. Refactors of the symmetry bookkeeping
 must leave every one of them identical. After an intended change of
 output, regenerate the file with
 
@@ -22,7 +24,14 @@ from toricsym.cli import main
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 GOLDEN = os.path.join(DATA, "cli_golden.json")
 BUILTIN_NAMES = ("square", "hexagon", "g2", "d12")
-SELECTORS = ("auto", "reflection:0", "dihedral:0,1")
+MIRROR_COUNTS = {"square": 4, "hexagon": 6, "g2": 6, "d12": 6}
+SELECTORS = ("auto", "dihedral:0,1")
+
+
+def selectors(name: str) -> tuple[str, ...]:
+    """Both group selectors and every single mirror of a builtin."""
+    return SELECTORS + tuple(
+        f"reflection:{k}" for k in range(MIRROR_COUNTS[name]))
 
 
 def cases() -> dict[str, list[str]]:
@@ -30,13 +39,17 @@ def cases() -> dict[str, list[str]]:
     for name in BUILTIN_NAMES:
         out[f"symmetries {name}"] = ["symmetries", "--builtin", name]
     for name in BUILTIN_NAMES:
-        for spec in SELECTORS:
+        for spec in selectors(name):
             out[f"verify {name} {spec}"] = [
                 "verify", "--builtin", name, "--group", spec]
     for name in ("house", "ninegon"):
         out[f"verify --input {name}"] = [
             "verify", "--input", os.path.join(DATA, f"{name}.json")]
-    return {k: argv + ["--format", "json"] for k, argv in out.items()}
+    full = {k: argv + ["--format", "json"] for k, argv in out.items()}
+    for key, argv in out.items():
+        if argv[0] == "verify":
+            full[f"{key} text"] = argv + ["--format", "text"]
+    return full
 
 
 def run_case(argv) -> dict:

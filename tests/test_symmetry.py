@@ -5,16 +5,15 @@ from fractions import Fraction
 import pytest
 
 from toricsym.errors import (
-    EllTooSmall, InconsistentGeometry, NotASymmetry, NotFiniteOrder,
-    OrientationAmbiguous,
+    EllTooSmall, NotASymmetry, NotFiniteOrder, OrientationAmbiguous,
 )
 from toricsym.catalog import corpus, ninegon
 from toricsym.exactlin import RatMatrix
-from toricsym.geometry import polygon_from_vertices, pt
+from toricsym.geometry import apply_linear, polygon_from_vertices, pt
 from toricsym.symmetry import (
     DihedralGroup, Reflection, coefficient_pair, detect_reflections,
     dihedral_coefficients, dihedral_group, dual_matrix, edge_permutation,
-    fundamental_region, maximal_dihedral, orbit_decomposition,
+    fundamental_region, inverse2, maximal_dihedral, orbit_decomposition,
 )
 
 F = Fraction
@@ -75,9 +74,9 @@ def test_dihedral_group_basics():
 
 
 def test_dihedral_group_infinite_order_guard():
-    slanted = Reflection.from_matrix(
-        M([[F(3, 5), F(4, 5)], [F(4, 5), F(-3, 5)]]))
-    # rotation of trace 2 (a shear, not I) and of trace -2 (not -I)
+    # rotation of trace 4, of trace 2 (a shear, not I) and of trace -2
+    # (not -I)
+    slanted = Reflection.from_matrix(M([[2, 3], [-1, -2]]))
     shear = Reflection.from_matrix(M([[1, 0], [1, -1]]))
     flipped_shear = Reflection.from_matrix(M([[-1, -1], [0, 1]]))
     for other in (slanted, shear, flipped_shear):
@@ -124,7 +123,7 @@ def test_single_region_case_1_3_square_diagonal():
     fr = fundamental_region(SQUARE, refl)
     assert fr.kind == "1-3" and fr.n == 2
     assert fr.cross_edges == ()
-    assert len(fr.fixed_vertices) == 2
+    assert [f for f, _ in fr.exits] == ["vertex", "vertex"]
     assert dihedral_coefficients(fr).c == {
         ((), 1): 0, ((1,), 1): 1, ((), 2): 0, ((1,), 2): 1}
 
@@ -135,7 +134,7 @@ def test_single_region_case_1_2_house():
     fr = fundamental_region(HOUSE, refl)
     assert fr.kind == "1-2" and fr.n == 2
     # E_1 touches the apex vertex (0, 2), E_2 sits next to the crossed edge
-    assert HOUSE.vertices[fr.fixed_vertices[0]] == pt(0, 2)
+    assert fr.exits[0] == ("vertex", HOUSE.vertices.index(pt(0, 2)))
     e1 = fr.region.edges[fr.slot_edges[1]]
     assert e1.normal == (-1, 1)
     e2 = fr.region.edges[fr.slot_edges[2]]
@@ -245,6 +244,40 @@ def test_orbit_decomposition_partitions():
     assert swapped == 2
 
 
+def test_lattice_change_of_coordinates_keeps_the_labels():
+    """Mapping a polygon and its generators by A in GL2(Z) (two of the maps
+    reverse orientation) and moving the chamber by A changes no label: the
+    kind, n, the slots, the crossed halves and the c and d tables, and E_j
+    is the image of E_j. Only a mirror whose rays end alike numbers its
+    slots ccw, so there a map of determinant -1 reverses the numbering."""
+    changes = [M([[1, 1], [0, 1]]), M([[2, 1], [1, 1]]),
+               M([[0, 1], [1, 0]]), M([[1, 0], [3, -1]])]
+    for p, group in _all_fold_shapes():
+        fr = fundamental_region(p, group)
+        table = dihedral_coefficients(fr)
+        vs = fr.region.vertices
+        centroid = tuple(sum(v[k] for v in vs) / len(vs) for k in (0, 1))
+        for a in changes:
+            a_inv = inverse2(a)
+            gens = [Reflection.from_matrix(a @ e.matrix @ a_inv)
+                    for e in group.elements if e.length == 1]
+            moved = gens[0] if len(gens) == 1 else dihedral_group(*gens)
+            fr_a = fundamental_region(apply_linear(a, p), moved,
+                                      chamber_hint=a.mat_vec(centroid))
+            table_a = dihedral_coefficients(fr_a)
+            assert (fr_a.kind, fr_a.n, fr_a.slots, len(fr_a.cross_edges)) == (
+                fr.kind, fr.n, fr.slots, len(fr.cross_edges)), (fr.kind, a)
+            assert (table_a.c, table_a.d) == (table.c, table.d), (fr.kind, a)
+            dual = dual_matrix(a)
+            images = {j: dual.mat_vec(fr.region.edges[i].normal)
+                      for j, i in fr.slot_edges.items()}
+            a11, a12, a21, a22 = a.entries
+            if a11 * a22 - a12 * a21 == -1 and fr.kind in ("1-1", "1-3"):
+                images = {j: images[fr.n + 1 - j] for j in images}
+            assert {j: fr_a.region.edges[i].normal
+                    for j, i in fr_a.slot_edges.items()} == images, (fr.kind, a)
+
+
 def test_single_mirror_is_the_order_two_group():
     assert [e.word for e in X_MIRROR.elements] == [(), (1,)]
     assert [e.name for e in X_MIRROR.elements] == ["id", "s1"]
@@ -328,17 +361,12 @@ def test_single_mirror_coefficients_are_the_order_two_table():
 
 
 def test_normal_jump_off_the_mirror_normal_is_rejected():
-    """A mirror that is not a lattice map can send a primitive normal to a
-    non-primitive multiple of the image edge's normal; the jump then leaves
-    the line of eta, which the coefficient table reports with exact
-    rationals."""
+    """A mirror of the plane that is not a lattice map does not act on the
+    toric surface: detect_reflections skips it, and Reflection refuses its
+    matrix by name."""
     r = M([[F(3, 5), F(4, 5)], [F(4, 5), F(-3, 5)]])
     q = (F(-3), F(-1))
     p = polygon_from_vertices([(2, 1), q, (-3, F(-3, 2)), r.mat_vec(q)])
-    (refl,) = detect_reflections(p)
-    assert refl.matrix == r
-    fr = fundamental_region(p, refl)
-    with pytest.raises(InconsistentGeometry,
-                       match=r"^normal difference \(-?\d+, -?\d+\) is not a "
-                             r"multiple of eta="):
-        dihedral_coefficients(fr)
+    assert detect_reflections(p) == ()
+    with pytest.raises(NotASymmetry, match="is not a lattice map"):
+        Reflection.from_matrix(r)
