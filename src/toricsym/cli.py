@@ -91,7 +91,7 @@ def select_group(p: RationalPolygon, spec: str):
             return refs[0]
         return maximal_dihedral(refs)[0]
     if spec.startswith("reflection:"):
-        k = int(spec.split(":", 1)[1])
+        k = _index("reflection", spec.split(":", 1)[1])
         if not 0 <= k < len(refs):
             raise ValueError(
                 f"reflection index {k} out of range, {len(refs)} detected")
@@ -100,13 +100,21 @@ def select_group(p: RationalPolygon, spec: str):
         parts = spec.split(":", 1)[1].split(",")
         if len(parts) != 2:
             raise ValueError("dihedral selector needs two indices i,j")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = (_index("dihedral", part) for part in parts)
         for k in (i, j):
             if not 0 <= k < len(refs):
                 raise ValueError(
                     f"reflection index {k} out of range, {len(refs)} detected")
         return dihedral_group(refs[i], refs[j])
     raise ValueError(f"unknown group selector {spec!r}")
+
+
+def _index(kind: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"{kind} index {text!r} is not an integer") from None
 
 
 def _matrix_lists(mat) -> list:

@@ -8,8 +8,8 @@ built from the edge normals. Gradings: variables sit in degree 2, the ring
 is 1, m-2, 1 in degrees 0, 2, 4 and zero above.
 
 Polynomials are plain dicts mapping sorted variable-index tuples to
-Fractions. Degree-2 classes are coordinatized on the non-pivot variables of
-the echelonized linear forms; degree-4 classes on the point class. Degree-4
+Fractions. Degree-2 classes are coordinatized on x_2 .. x_{m-1}, with x_0
+and x_1 given by Cramer's rule; degree-4 classes on the point class. Degree-4
 products come from the closed-form intersection table of the normal fan
 (Fulton, Introduction to Toric Varieties, ch. 5): with the edge normals n_i
 in counterclockwise order, x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the
@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (
     DegeneratePairing, DegreeTooHigh, NotASymmetry, UnexpectedBettiNumber,
 )
-from .exactlin import Rat, RatMatrix, Vec, kernel_basis, rank, rref
+from .exactlin import Rat, RatMatrix, Vec, kernel_basis, rank
 from .geometry import RationalPolygon, cross
 
 Poly = dict[tuple[int, ...], Rat]
@@ -132,8 +132,8 @@ class RingElement:
 class CohomologyRing:
     pres: Presentation
     betti: tuple[int, int, int]
-    deg2_basis: tuple[int, ...]
-    _deg2_nf: tuple[Vec, ...]               # per variable
+    deg2_basis: tuple[int, ...]             # (2, ..., m-1)
+    _pivot_rows: tuple[Vec, Vec]            # classes of x_0 and x_1
     product_table: tuple[tuple[Rat, ...], ...]
     pairing: RatMatrix
     pairing_rank: int
@@ -145,7 +145,7 @@ class CohomologyRing:
     # -- normal forms -----------------------------------------------------
 
     def deg2_nf(self, i: int) -> Vec:
-        return self._deg2_nf[i]
+        return self.normal_form({(i,): Fraction(1)}).coords
 
     def normal_form(self, f: Poly) -> RingElement:
         """Class of a homogeneous polynomial (degree = 2 * monomial length).
@@ -162,11 +162,10 @@ class CohomologyRing:
         if ln == 0:
             return RingElement(0, (f[()],))
         if ln == 1:
-            coords = [Fraction(0)] * len(self.deg2_basis)
-            for (i,), c in f.items():
-                for a, x in enumerate(self._deg2_nf[i]):
-                    coords[a] += c * x
-            return RingElement(2, tuple(coords))
+            c0, c1 = (f.get((k,), Fraction(0)) for k in (0, 1))
+            return RingElement(2, tuple(
+                f.get((b,), Fraction(0)) + c0 * r0 + c1 * r1
+                for b, r0, r1 in zip(self.deg2_basis, *self._pivot_rows)))
         if ln == 2:
             t = self.product_table
             return RingElement(4, (sum((c * t[i][j] for (i, j), c in f.items()),
@@ -175,27 +174,19 @@ class CohomologyRing:
 
 
 def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
-    """The ring of p, its degree-4 products read off the closed-form
-    intersection table of the normal fan (Fulton, ch. 5; see the module
-    docstring). The table is checked against the linear relations, which
-    must annihilate each of its columns."""
+    """The ring of p. In degree 2, Cramer's rule on the independent normals
+    n_0, n_1 gives x_0 = -sum_b det(n_b, n_1) x_b / det(n_0, n_1) and x_1 =
+    -sum_b det(n_0, n_b) x_b / det(n_0, n_1), b >= 2; degree-4 products are
+    the closed-form intersection table (Fulton, ch. 5), which both linear
+    relations must annihilate column by column."""
     pres = presentation(p)
     m = p.m
-    red2, piv2 = rref(pres.linear_rows)
-    if len(piv2) != 2:
-        raise UnexpectedBettiNumber("edge normals do not span the plane")
-    basis = tuple(i for i in range(m) if i not in piv2)
-    nf2: list[Vec] = []
-    for i in range(m):
-        if i in basis:
-            nf2.append(tuple(Fraction(1) if b == i else Fraction(0)
-                             for b in basis))
-        else:
-            k = piv2.index(i)
-            nf2.append(tuple(-red2[k, b] for b in basis))
-
     n = p.normals()
     det = [cross(n[i], n[(i + 1) % m]) for i in range(m)]  # det(n_i, n_i+1)
+    basis = tuple(range(2, m))
+    pivot_rows = (tuple(-cross(n[b], n[1]) / det[0] for b in basis),
+                  tuple(-cross(n[0], n[b]) / det[0] for b in basis))
+
     table = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
         j = (i + 1) % m
@@ -218,7 +209,7 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
         raise DegeneratePairing("degree-2 intersection pairing is singular")
     return CohomologyRing(
         pres=pres, betti=(1, m - 2, 1), deg2_basis=basis,
-        _deg2_nf=tuple(nf2), product_table=table, pairing=pairing,
+        _pivot_rows=pivot_rows, product_table=table, pairing=pairing,
         pairing_rank=pairing_rank)
 
 

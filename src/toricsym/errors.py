@@ -10,10 +10,6 @@ class ToricSymError(Exception):
     """Base class for every error raised by this package."""
 
 
-class Inconsistent(ToricSymError):
-    """A linear system has no solution."""
-
-
 class ZeroVector(ToricSymError):
     """A direction or normal vector is (0, 0) where a nonzero one is required."""
 

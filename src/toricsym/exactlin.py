@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import Inconsistent
-
 Rat = Fraction
 Vec = tuple[Rat, ...]
 
@@ -141,21 +139,6 @@ def kernel_basis(a: RatMatrix) -> tuple[Vec, ...]:
             v[p] = -red[k, f]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def solve(a: RatMatrix, b: Sequence) -> Vec:
-    """One solution of A x = b (free variables set to 0).
-
-    Raises Inconsistent when the system has no solution.
-    """
-    rhs = RatMatrix.from_rows([[x] for x in b])
-    red, pivots = rref(a.augment(rhs))
-    if a.cols in pivots:
-        raise Inconsistent("linear system has no solution")
-    x = [Fraction(0)] * a.cols
-    for k, p in enumerate(pivots):
-        x[p] = red[k, a.cols]
-    return tuple(x)
 
 
 def spans_equal(a: RatMatrix, b: RatMatrix) -> bool:

@@ -36,12 +36,12 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import (
-    CaseMismatch, EllTooSmall, Inconsistent, InconsistentGeometry,
+    CaseMismatch, EllTooSmall, InconsistentGeometry,
     NotASymmetry, NotFiniteOrder, OrientationAmbiguous, PartitionFailure,
 )
-from .exactlin import Rat, RatMatrix, kernel_basis, solve
+from .exactlin import Rat, RatMatrix
 from .geometry import (
-    IntVec, RationalPolygon, _region_polygon, clip_halfplane, dot,
+    IntVec, RationalPolygon, _region_polygon, clip_halfplane, cross, dot,
     format_point, format_rational, primitive,
 )
 
@@ -76,10 +76,8 @@ class Reflection:
             raise NotASymmetry("a reflection must have determinant -1")
         if matrix @ matrix != RatMatrix.identity(2):
             raise NotASymmetry("a reflection must be an involution")
-        fixed = kernel_basis(RatMatrix.from_rows([
-            [a - 1, b], [c, d - 1]]))
-        assert len(fixed) == 1
-        dvec = fixed[0]
+        # (g - 1)(g + 1) = 0: a nonzero column of g + 1 spans the fixed line
+        dvec = (a + 1, c) if (a + 1, c) != (0, 0) else (b, d + 1)
         eta = primitive((dvec[1], -dvec[0]))
         if eta[0] < 0 or (eta[0] == 0 and eta[1] < 0):
             eta = (-eta[0], -eta[1])
@@ -492,13 +490,16 @@ def coefficient_pair(fr: FundamentalRegion, element: GroupElement,
     lam = p.edges[parent].normal
     lam_img = p.edges[fr.edge_perms[element.word][parent]].normal
     diff = (Fraction(lam_img[0] - lam[0]), Fraction(lam_img[1] - lam[1]))
-    mat = RatMatrix.from_rows([[eta[r] for eta in fr.etas] for r in (0, 1)])
-    try:
-        return solve(mat, diff)
-    except Inconsistent:
+    if len(fr.etas) == 2:
+        eta1, eta2 = fr.etas
+        det = cross(eta1, eta2)
+        return (cross(diff, eta2) / det, cross(eta1, diff) / det)
+    (eta,) = fr.etas
+    if cross(diff, eta) != 0:
         raise InconsistentGeometry(
             f"normal difference {format_point(diff)} is not a multiple of "
-            f"eta={fr.etas[0]}") from None
+            f"eta={eta}")
+    return (dot(diff, eta) / dot(eta, eta),)
 
 
 def dihedral_coefficients(fr: FundamentalRegion) -> DihedralCoefficients:

@@ -28,8 +28,8 @@ from .cohomology import (
     ring_action,
 )
 from .errors import CaseMismatch, InconsistentGeometry
-from .exactlin import Rat, RatMatrix, Vec, rank, same_span, solve
-from .geometry import format_rational
+from .exactlin import Rat, RatMatrix, Vec, rank, same_span
+from .geometry import cross, format_rational
 from .symmetry import (
     DihedralCoefficients, FundamentalRegion, dihedral_coefficients,
     fundamental_region,
@@ -306,8 +306,8 @@ def invariance_combination(fr: FundamentalRegion, rmap: RingMap,
         eta = fr.etas[generator - 1]
         second = fr.etas[2 - generator]
         mirror_idx = fr.mirror_edges[generator - 1]
-    basis = RatMatrix.from_rows([list(eta), list(second)])
-    dual = solve(basis, (Fraction(1), Fraction(0)))
+    det = cross(eta, second)
+    dual = (second[1] / det, -second[0] / det)
     # crossed-edge normals pair to zero with the dual vector, so their
     # images contribute nothing and are omitted
     for idx in fr.cross_edges:

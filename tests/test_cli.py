@@ -131,6 +131,17 @@ def test_verify_selector_errors(capsys):
     assert code == 2
 
 
+def test_non_integer_group_index_names_the_selector(capsys):
+    for spec, bad in (("reflection:x", "reflection index 'x'"),
+                      ("reflection:", "reflection index ''"),
+                      ("dihedral:0,x", "dihedral index 'x'")):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "verify", "--builtin", "square",
+                                 "--group", spec, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == f"error: ValueError: {bad} is not an integer\n"
+
+
 def test_json_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "--builtin", "g2", "--format", "json")
     _, second, _ = run(capsys, "verify", "--builtin", "g2", "--format", "json")

@@ -1,0 +1,123 @@
+"""The closed forms of plane geometry against their elimination oracles.
+
+Every small system of the fold pipeline is 2 x 2 or 2 x 1, and the package
+solves each one in closed form: Cramer's rule for the degree-2 classes of x_0
+and x_1 and for a wedge's normal jump, a projection for a mirror's, and a
+column of g + 1 for a reflection's fixed line. Here each one is compared with
+the elimination it replaced (exactlin.rref, exactlin.kernel_basis) or with
+sympy's exact solver, on the corpus, on the fold regions of every fold shape
+and on generated polygons of all six shapes (bench/generators.py, read as a
+plain module).
+"""
+
+import importlib.util
+import sys
+from itertools import product
+from pathlib import Path
+
+import sympy
+
+from test_symmetry import _all_fold_shapes
+
+from toricsym.catalog import corpus
+from toricsym.cohomology import cohomology_ring
+from toricsym.exactlin import RatMatrix, kernel_basis, rref
+from toricsym.geometry import polygon_from_vertices, primitive
+from toricsym.symmetry import (
+    Reflection, coefficient_pair, detect_reflections, fundamental_region,
+    maximal_dihedral,
+)
+
+_GEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
+_spec = importlib.util.spec_from_file_location("bench_generators", _GEN_PATH)
+gen = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+
+def corpus_folds():
+    """(polygon, group) for every mirror of every corpus polygon and for
+    its maximal dihedral group."""
+    out = []
+    for _, p in sorted(corpus().items()):
+        refs = detect_reflections(p)
+        out += [(p, r) for r in refs]
+        if len(refs) >= 2:
+            out.append((p, maximal_dihedral(refs)[0]))
+    return out
+
+
+def generated_folds():
+    """(polygon, group) for every family/shape pair of the generator, the
+    group being the single mirror or the maximal dihedral group."""
+    out = []
+    for family, shape in sorted(gen.MIRROR_SEEDS):
+        inst = gen.generate(family, shape, gen.smallest_k(family, shape), 0)
+        p = polygon_from_vertices(inst.vertices)
+        refs = detect_reflections(p)
+        out.append((p, refs[0] if family == "mirror"
+                    else maximal_dihedral(refs)[0]))
+    return out
+
+
+SHAPES = {"1-1", "1-2", "1-3", "2-1", "2-2", "2-3"}
+GENERATED = generated_folds()
+FOLDS = corpus_folds() + _all_fold_shapes() + GENERATED
+REGIONS = [fundamental_region(p, g) for p, g in FOLDS]
+
+
+def test_the_generated_cases_cover_every_fold_shape():
+    assert {fundamental_region(p, g).kind for p, g in GENERATED} == SHAPES
+    assert {fr.kind for fr in REGIONS} == SHAPES
+
+
+def eliminated_deg2_nf(ring, i):
+    """The class of x_i as the echelon form of the linear relations gives
+    it: a unit vector on a free variable, the negated echelon row on a
+    pivot."""
+    red, pivots = rref(ring.pres.linear_rows)
+    assert pivots == (0, 1)
+    if i in pivots:
+        return tuple(-red[pivots.index(i), b] for b in ring.deg2_basis)
+    return tuple(int(b == i) for b in ring.deg2_basis)
+
+
+def test_deg2_classes_match_the_echelon_form():
+    polygons = list(corpus().values()) + [p for p, _ in FOLDS]
+    polygons += [fr.region for fr in REGIONS]
+    for p in polygons:
+        ring = cohomology_ring(p)
+        assert ring.deg2_basis == tuple(range(2, p.m))
+        for i in range(p.m):
+            assert ring.deg2_nf(i) == eliminated_deg2_nf(ring, i), (p, i)
+
+
+def test_coefficient_pairs_match_sympy():
+    for fr in REGIONS:
+        etas = sympy.Matrix([[eta[r] for eta in fr.etas] for r in (0, 1)])
+        for u in fr.group.elements:
+            for j in fr.slots:
+                parent = fr.parent_of[fr.slot_edges[j]]
+                lam = fr.polygon.edges[parent].normal
+                img = fr.polygon.edges[fr.edge_perms[u.word][parent]].normal
+                diff = sympy.Matrix([img[0] - lam[0], img[1] - lam[1]])
+                sol, params = etas.gauss_jordan_solve(diff)
+                assert params.shape[0] == 0
+                got = coefficient_pair(fr, u, j)
+                assert [sympy.Rational(x.numerator, x.denominator)
+                        for x in got] == list(sol), (fr.kind, u.word, j)
+
+
+def test_reflection_normal_matches_the_kernel():
+    count = 0
+    for a, b, c, d in product(range(-4, 5), repeat=4):
+        g = RatMatrix.from_rows([[a, b], [c, d]])
+        if a * d - b * c != -1 or g @ g != RatMatrix.identity(2):
+            continue
+        count += 1
+        (fixed,) = kernel_basis(RatMatrix.from_rows([[a - 1, b],
+                                                     [c, d - 1]]))
+        eta = primitive((fixed[1], -fixed[0]))
+        if eta < (0, 0):
+            eta = (-eta[0], -eta[1])
+        assert Reflection.from_matrix(g).mirror_normal == eta, (a, b, c, d)
+    assert count > 20

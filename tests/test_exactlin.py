@@ -6,13 +6,11 @@ inline); property tests compare against sympy's independent implementation.
 
 from fractions import Fraction
 
-import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from toricsym.errors import Inconsistent
 from toricsym.exactlin import (
-    RatMatrix, kernel_basis, rank, rref, solve, spans_equal, vec,
+    RatMatrix, kernel_basis, rank, rref, spans_equal,
 )
 
 F = Fraction
@@ -52,21 +50,6 @@ def test_pivot_rule_skips_zero_column():
     red, pivots = rref(M([[0, 2], [0, 1]]))
     assert pivots == (1,)
     assert red.row(0) == (F(0), F(1))
-
-
-def test_solve_unique():
-    # x + y = 2, x - y = 0 has the single solution (1, 1)
-    assert solve(M([[1, 1], [1, -1]]), vec([2, 0])) == (F(1), F(1))
-
-
-def test_solve_underdetermined_sets_free_to_zero():
-    # x + y = 3 with free y=0 gives (3, 0)
-    assert solve(M([[1, 1]]), vec([3])) == (F(3), F(0))
-
-
-def test_solve_inconsistent():
-    with pytest.raises(Inconsistent):
-        solve(M([[1, 1], [1, 1]]), vec([0, 1]))
 
 
 def test_matmul_and_identity():

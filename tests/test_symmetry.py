@@ -1,11 +1,14 @@
 """Reflection detection, dihedral groups, fundamental regions and labels."""
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
 
 from toricsym.errors import (
-    EllTooSmall, NotASymmetry, NotFiniteOrder, OrientationAmbiguous,
+    EllTooSmall, InconsistentGeometry, NotASymmetry, NotFiniteOrder,
+    OrientationAmbiguous,
 )
 from toricsym.catalog import corpus, ninegon
 from toricsym.exactlin import RatMatrix
@@ -370,3 +373,19 @@ def test_normal_jump_off_the_mirror_normal_is_rejected():
     assert detect_reflections(p) == ()
     with pytest.raises(NotASymmetry, match="is not a lattice map"):
         Reflection.from_matrix(r)
+
+
+def test_mirror_jump_off_the_normal_is_rejected_by_name():
+    """A lattice mirror always jumps along eta, so the guard of the mirror
+    branch is reached only through a doctored edge permutation: here sigma
+    sends the bottom edge of the square, normal (0, -1), to the right one,
+    normal (1, 0), in place of the top one."""
+    fr = fundamental_region(SQUARE, X_MIRROR)
+    assert (fr.etas, fr.slot_edges, fr.parent_of[0]) == (((0, 1),), {1: 0}, 0)
+    bad = dataclasses.replace(fr, edge_perms={(): (0, 1, 2, 3),
+                                              (1,): (1, 0, 2, 3)})
+    sigma = X_MIRROR.elements[1]
+    with pytest.raises(InconsistentGeometry, match="^" + re.escape(
+            "normal difference (1, 1) is not a multiple of eta=(0, 1)") + "$"):
+        coefficient_pair(bad, sigma, 1)
+    assert coefficient_pair(fr, sigma, 1) == (2,)
