@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .catalog import BUILTINS, builtin
@@ -110,11 +111,11 @@ def select_group(p: RationalPolygon, spec: str):
 
 
 def _index(kind: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"{kind} index {text!r} is not an integer") from None
+    """ASCII digits and an optional minus: int() also takes blanks, "_", "+"
+    and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{kind} index {text!r} is not an integer")
+    return int(text)
 
 
 def _matrix_lists(mat) -> list:

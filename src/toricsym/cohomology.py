@@ -18,9 +18,11 @@ det(n_i, n_{i+1})) times it, and every other product is zero.
 
 A symmetry of the polygon acts on the ring by permuting the edge variables,
 so a group action is stored as a permutation and nothing else: the image of
-a class is the normal form of the renamed polynomial (permute), and over Q
-the degree-2 invariants are spanned by the classes of the variable orbit
-sums (orbit_sums).
+a class is the normal form of the renamed polynomial (permute). Over Q the
+averaging operator sends x_i to a multiple of its orbit sum (Serre, Linear
+Representations of Finite Groups, 2.6), so the degree-2 invariants are
+spanned by the classes of the variable orbit sums (orbit_sums). Nothing in
+this module runs an elimination.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (
     DegeneratePairing, DegreeTooHigh, NotASymmetry, UnexpectedBettiNumber,
 )
-from .exactlin import Rat, RatMatrix, Vec, kernel_basis, rank
+from .exactlin import Rat, RatMatrix, Vec
 from .geometry import RationalPolygon, cross
 
 Poly = dict[tuple[int, ...], Rat]
@@ -136,7 +138,7 @@ class CohomologyRing:
     _pivot_rows: tuple[Vec, Vec]            # classes of x_0 and x_1
     product_table: tuple[tuple[Rat, ...], ...]
     pairing: RatMatrix
-    pairing_rank: int
+    pairing_det: Rat
 
     @property
     def m(self) -> int:
@@ -178,7 +180,9 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
     n_0, n_1 gives x_0 = -sum_b det(n_b, n_1) x_b / det(n_0, n_1) and x_1 =
     -sum_b det(n_0, n_b) x_b / det(n_0, n_1), b >= 2; degree-4 products are
     the closed-form intersection table (Fulton, ch. 5), which both linear
-    relations must annihilate column by column."""
+    relations must annihilate column by column. The table is cyclic
+    tridiagonal and the basis omits x_0, so the pairing is tridiagonal and
+    its determinant is the continuant of its diagonals."""
     pres = presentation(p)
     m = p.m
     n = p.normals()
@@ -195,8 +199,7 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
     for r in (0, 1):
         row = pres.linear_rows.row(r)
         for i in range(m):
-            if sum((row[k] * table[k][i] for k in range(m) if table[k][i]),
-                   Fraction(0)):
+            if sum(row[k % m] * table[k % m][i] for k in (i - 1, i, i + 1)):
                 raise UnexpectedBettiNumber(
                     f"linear relation {r} does not annihilate the "
                     f"intersection numbers of x{i}")
@@ -204,13 +207,16 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
 
     pairing = RatMatrix.from_rows(
         [[table[a][b] for b in basis] for a in basis])
-    pairing_rank = rank(pairing)
-    if pairing_rank != len(basis):
+    pairing_det, prev = Fraction(1), Fraction(0)
+    for b in basis:
+        pairing_det, prev = (table[b][b] * pairing_det
+                             - table[b - 1][b] ** 2 * prev), pairing_det
+    if pairing_det == 0:
         raise DegeneratePairing("degree-2 intersection pairing is singular")
     return CohomologyRing(
         pres=pres, betti=(1, m - 2, 1), deg2_basis=basis,
         _pivot_rows=pivot_rows, product_table=table, pairing=pairing,
-        pairing_rank=pairing_rank)
+        pairing_det=pairing_det)
 
 
 # ---------------------------------------------------------------------------
@@ -260,33 +266,17 @@ def ring_action(ring: CohomologyRing, perm: Sequence[int]) -> RingAction:
 
 def invariant_deg2(ring: CohomologyRing,
                    actions: Iterable[RingAction]) -> RatMatrix:
-    """Basis (as columns) of the degree-2 invariants of the given actions,
-    by the kernel route: the kernel of the stacked (rho - 1) blocks, where
-    rho sends the basis class x_b to the class of x_{perm[b]}.
-    verify_theorem compares it with reynolds_image over the full group;
-    this function does not."""
-    basis = ring.deg2_basis
-    rows = []
-    for a in actions:
-        cols = [ring.deg2_nf(a.perm[b]) for b in basis]
-        rows += [[col[r] - (1 if c == r else 0)
-                  for c, col in enumerate(cols)] for r in range(len(basis))]
-    if not rows:
-        return RatMatrix.identity(len(basis))
-    kb = kernel_basis(RatMatrix.from_rows(rows))
-    return RatMatrix.from_rows([[v[r] for v in kb] for r in range(len(basis))])
-
-
-def reynolds_image(ring: CohomologyRing,
-                   group_actions: Sequence[RingAction]) -> RatMatrix:
-    """Columns spanning the image of the averaging operator over a full
-    group's actions. The average of x_i is a multiple of the sum of its
-    orbit, so over Q the image is spanned by the classes of the variable
-    orbit sums, one column per orbit."""
-    sums = orbit_sums(ring.m, [a.perm for a in group_actions])
+    """Columns spanning the degree-2 invariants of the given actions: the
+    classes of the variable orbit sums, one column per orbit. A group and
+    its generators have the same orbits, so either may be passed."""
+    sums = orbit_sums(ring.m, [a.perm for a in actions])
     cols = [ring.normal_form(f).coords for f in sums]
     return RatMatrix.from_rows(
         [[col[r] for col in cols] for r in range(len(ring.deg2_basis))])
+
+
+# the averaging-operator name of the same construction, kept for older callers
+reynolds_image = invariant_deg2
 
 
 def orbit_sums(m: int, perms: Sequence[Sequence[int]]) -> tuple[Poly, ...]:

@@ -132,14 +132,28 @@ def test_verify_selector_errors(capsys):
 
 
 def test_non_integer_group_index_names_the_selector(capsys):
+    # int() alone would read "1_0" as 10 and accept the other four
     for spec, bad in (("reflection:x", "reflection index 'x'"),
                       ("reflection:", "reflection index ''"),
-                      ("dihedral:0,x", "dihedral index 'x'")):
+                      ("dihedral:0,x", "dihedral index 'x'"),
+                      ("reflection:1_0", "reflection index '1_0'"),
+                      ("reflection: 1", "reflection index ' 1'"),
+                      ("dihedral:0, 1", "dihedral index ' 1'"),
+                      ("reflection:+1", "reflection index '+1'"),
+                      ("reflection:\u0661", "reflection index '\u0661'")):
         for fmt in ("text", "json"):
             code, out, err = run(capsys, "verify", "--builtin", "square",
                                  "--group", spec, "--format", fmt)
             assert (code, out) == (2, "")
             assert err == f"error: ValueError: {bad} is not an integer\n"
+
+
+def test_negative_group_index_is_out_of_range(capsys):
+    code, out, err = run(capsys, "verify", "--builtin", "square",
+                         "--group", "reflection:-1")
+    assert (code, out) == (2, "")
+    assert err == ("error: ValueError: reflection index -1 out of range, "
+                   "4 detected\n")
 
 
 def test_json_output_is_deterministic(capsys):

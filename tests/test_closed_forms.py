@@ -7,7 +7,9 @@ column of g + 1 for a reflection's fixed line. Here each one is compared with
 the elimination it replaced (exactlin.rref, exactlin.kernel_basis) or with
 sympy's exact solver, on the corpus, on the fold regions of every fold shape
 and on generated polygons of all six shapes (bench/generators.py, read as a
-plain module).
+plain module). On the generated folds, the degree-2 invariants from orbit
+sums are compared with the kernel of the stacked (rho - 1) blocks, and the
+pairing continuant with sympy's determinant.
 """
 
 import importlib.util
@@ -17,16 +19,20 @@ from pathlib import Path
 
 import sympy
 
+from test_cohomology import kernel_invariants, sympy_det
 from test_symmetry import _all_fold_shapes
 
 from toricsym.catalog import corpus
-from toricsym.cohomology import cohomology_ring
-from toricsym.exactlin import RatMatrix, kernel_basis, rref
+from toricsym.cohomology import (
+    cohomology_ring, invariant_deg2, orbit_sums, permute,
+)
+from toricsym.exactlin import RatMatrix, kernel_basis, rank, rref, spans_equal
 from toricsym.geometry import polygon_from_vertices, primitive
 from toricsym.symmetry import (
     Reflection, coefficient_pair, detect_reflections, fundamental_region,
     maximal_dihedral,
 )
+from toricsym.theorem import group_ring_actions
 
 _GEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
 _spec = importlib.util.spec_from_file_location("bench_generators", _GEN_PATH)
@@ -121,3 +127,27 @@ def test_reflection_normal_matches_the_kernel():
             eta = (-eta[0], -eta[1])
         assert Reflection.from_matrix(g).mirror_normal == eta, (a, b, c, d)
     assert count > 20
+
+
+def test_orbit_sum_invariants_match_the_kernel_on_generated_folds():
+    """dim (H^2)^W = #orbits - dim M^W, and each orbit sum is fixed by each
+    generator as a polynomial, not only as a class."""
+    for p, g in GENERATED:
+        fr = fundamental_region(p, g)
+        ring = cohomology_ring(p)
+        gens, _ = group_ring_actions(ring, fr)
+        oracle = kernel_invariants(ring, gens)
+        inv = invariant_deg2(ring, gens)
+        single = len(fr.etas) == 1
+        assert spans_equal(oracle, inv), fr.kind
+        assert (oracle.cols == rank(inv) == fr.region.m - 2
+                == inv.cols - (1 if single else 0)), fr.kind
+        for s in orbit_sums(ring.m, [a.perm for a in gens]):
+            assert all(permute(s, a.perm) == s for a in gens), fr.kind
+
+
+def test_pairing_continuant_on_generated_folds():
+    for p, g in GENERATED:
+        for q in (p, fundamental_region(p, g).region):
+            ring = cohomology_ring(q)
+            assert ring.pairing_det == sympy_det(ring.pairing) != 0

@@ -21,7 +21,7 @@ from toricsym.cohomology import (
     presentation, reynolds_image, ring_action,
 )
 from toricsym.errors import DegreeTooHigh, NotASymmetry
-from toricsym.exactlin import RatMatrix, rank, spans_equal
+from toricsym.exactlin import RatMatrix, kernel_basis, rank, spans_equal
 from toricsym.geometry import cross, polygon_from_vertices
 from toricsym.symmetry import (
     detect_reflections, dihedral_group, edge_permutation, fundamental_region,
@@ -201,6 +201,16 @@ def test_oracle_equivalence(name):
     assert rank(ring.pairing) == p.m - 2
 
 
+def sympy_det(mat):
+    return sympy.Matrix(mat.row_list()).det()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_pairing_continuant_is_the_dense_determinant(name):
+    ring = cohomology_ring(ORACLE_CASES[name])
+    assert ring.pairing_det == sympy_det(ring.pairing) != 0
+
+
 def test_groebner_route_square():
     xs = sympy.symbols("x0 x1 x2 x3")
     x0, x1, x2, x3 = xs
@@ -279,6 +289,20 @@ def test_ring_action_is_a_representation():
                 acts[a.word].deg4_scalar * acts[b.word].deg4_scalar)
 
 
+def kernel_invariants(ring, actions):
+    """Columns of a basis of the degree-2 invariants by elimination: the
+    kernel of the stacked (rho - 1) blocks, where rho sends the basis class
+    x_b to the class of x_{perm[b]}."""
+    basis = ring.deg2_basis
+    rows = []
+    for a in actions:
+        cols = [ring.deg2_nf(a.perm[b]) for b in basis]
+        rows += [[col[r] - (1 if c == r else 0)
+                  for c, col in enumerate(cols)] for r in range(len(basis))]
+    kb = kernel_basis(RatMatrix.from_rows(rows))
+    return RatMatrix.from_rows([[v[r] for v in kb] for r in range(len(basis))])
+
+
 def test_invariants_square_full_group():
     """The kernel route and the orbit-sum route give the same invariants, of
     dimension region.m - 2, for every corpus polygon under each mirror and
@@ -294,12 +318,13 @@ def test_invariants_square_full_group():
             acts = [ring_action(ring, edge_permutation(p, e.matrix))
                     for e in g.elements]
             gens = [a for a, e in zip(acts, g.elements) if e.length == 1]
-            kern = invariant_deg2(ring, gens)
-            reyn = reynolds_image(ring, acts)
+            oracle = kernel_invariants(ring, gens)
+            inv = invariant_deg2(ring, gens)
             region = fundamental_region(p, g)
             shapes.add(region.kind)
-            assert spans_equal(kern, reyn), name
-            assert kern.cols == rank(reyn) == region.region.m - 2, name
+            assert spans_equal(oracle, inv), name
+            assert spans_equal(inv, reynolds_image(ring, acts)), name
+            assert oracle.cols == rank(inv) == region.region.m - 2, name
     assert shapes == {"1-1", "1-2", "1-3", "2-1", "2-2", "2-3"}
 
 
