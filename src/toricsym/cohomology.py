@@ -9,7 +9,8 @@ is 1, m-2, 1 in degrees 0, 2, 4 and zero above.
 
 Polynomials are plain dicts mapping sorted variable-index tuples to
 Fractions. Degree-2 classes are coordinatized on x_2 .. x_{m-1}, with x_0
-and x_1 given by Cramer's rule; degree-4 classes on the point class. Degree-4
+and x_1 given by Cramer's rule; degree-4 classes on the point class.
+Degree-2 ranks are taken in edge coordinates instead (deg2_rank). Degree-4
 products come from the closed-form intersection table of the normal fan
 (Fulton, Introduction to Toric Varieties, ch. 5): with the edge normals n_i
 in counterclockwise order, x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the
@@ -21,8 +22,8 @@ so a group action is stored as a permutation and nothing else: the image of
 a class is the normal form of the renamed polynomial (permute). Over Q the
 averaging operator sends x_i to a multiple of its orbit sum (Serre, Linear
 Representations of Finite Groups, 2.6), so the degree-2 invariants are
-spanned by the classes of the variable orbit sums (orbit_sums). Nothing in
-this module runs an elimination.
+spanned by the variable orbit sums (orbit_sums). The only elimination in
+this module is the rank inside deg2_rank.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (
     DegeneratePairing, DegreeTooHigh, NotASymmetry, UnexpectedBettiNumber,
 )
-from .exactlin import Rat, RatMatrix, Vec
+from .exactlin import Rat, RatMatrix, Vec, rank
 from .geometry import RationalPolygon, cross
 
 Poly = dict[tuple[int, ...], Rat]
@@ -174,6 +175,20 @@ class CohomologyRing:
                                        Fraction(0)),))
         return RingElement(2 * ln, ())
 
+    def edge_rows(self, forms: Iterable[Poly]) -> list[Vec]:
+        """Linear forms as rows of coefficients on x_0 .. x_{m-1}; the empty
+        form is the zero row."""
+        zero = Fraction(0)
+        return [tuple(f.get((i,), zero) for i in range(self.m)) for f in forms]
+
+    def deg2_rank(self, rows: Sequence[Sequence]) -> int:
+        """Dimension of the span of the edge rows' classes in H^2 = Q^E / M_Q:
+        the rank of rows with the two rows of pres.linear_rows appended, minus
+        2 (adjacent normals are independent, so those two have rank 2). Rows
+        A and B span the same classes iff deg2_rank of A, B and A + B agree."""
+        return rank(RatMatrix.from_rows(
+            [*rows, *self.pres.linear_rows.row_list()])) - 2
+
 
 def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
     """The ring of p. In degree 2, Cramer's rule on the independent normals
@@ -248,13 +263,15 @@ def ring_action(ring: CohomologyRing, perm: Sequence[int]) -> RingAction:
     perm = tuple(perm)
     if sorted(perm) != list(range(m)):
         raise NotASymmetry("not a permutation of the variables")
+    # perm permutes unordered pairs and there are m adjacent ones, so it keeps
+    # disjoint pairs disjoint iff it keeps every pair (i, i+1) adjacent
     p = ring.pres.polygon
     for i in range(m):
-        for j in range(i + 1, m):
-            if not p.adjacent(i, j) and p.adjacent(perm[i], perm[j]):
-                raise NotASymmetry(
-                    f"permutation sends the disjoint pair ({i},{j}) to "
-                    "adjacent edges")
+        j = (i + 1) % m
+        if not p.adjacent(perm[i], perm[j]):
+            raise NotASymmetry(
+                f"permutation sends the adjacent pair ({i},{j}) to the "
+                f"disjoint edges ({perm[i]},{perm[j]})")
     for f in ring.pres.linear_polys():
         if not ring.normal_form(permute(f, perm)).is_zero():
             raise NotASymmetry(
@@ -266,13 +283,11 @@ def ring_action(ring: CohomologyRing, perm: Sequence[int]) -> RingAction:
 
 def invariant_deg2(ring: CohomologyRing,
                    actions: Iterable[RingAction]) -> RatMatrix:
-    """Columns spanning the degree-2 invariants of the given actions: the
-    classes of the variable orbit sums, one column per orbit. A group and
+    """Rows spanning the degree-2 invariants of the given actions in edge
+    coordinates: one 0/1 row per variable orbit, its orbit sum. A group and
     its generators have the same orbits, so either may be passed."""
-    sums = orbit_sums(ring.m, [a.perm for a in actions])
-    cols = [ring.normal_form(f).coords for f in sums]
     return RatMatrix.from_rows(
-        [[col[r] for col in cols] for r in range(len(ring.deg2_basis))])
+        ring.edge_rows(orbit_sums(ring.m, [a.perm for a in actions])))
 
 
 # the averaging-operator name of the same construction, kept for older callers

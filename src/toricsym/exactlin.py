@@ -143,10 +143,4 @@ def kernel_basis(a: RatMatrix) -> tuple[Vec, ...]:
 
 def spans_equal(a: RatMatrix, b: RatMatrix) -> bool:
     """Whether the column spans of two matrices (same height) coincide."""
-    return same_span(a, rank(a), b, rank(b))
-
-
-def same_span(a: RatMatrix, ra: int, b: RatMatrix, rb: int) -> bool:
-    """spans_equal for matrices whose ranks ra and rb are already known; it
-    ranks only [a | b], and only when ra == rb."""
-    return ra == rb and rank(a.augment(b)) == ra
+    return rank(a) == rank(b) == rank(a.augment(b))

@@ -54,7 +54,7 @@ def primitive(v: Sequence) -> IntVec:
     return (a // g, b // g)
 
 
-RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+RAT_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def parse_rational(value) -> Rat:

@@ -185,6 +185,21 @@ def test_float_vertices_rejected(tmp_path, capsys):
     assert "0.5" in err
 
 
+def test_non_ascii_digits_are_malformed_rationals(tmp_path, capsys):
+    code, out, err = run(capsys, "rootdemo", "--type", "A2",
+                         "--offset=-\u0661")
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: malformed rational string '-\u0661'\n"
+    bad = tmp_path / "wide.json"
+    bad.write_text(json.dumps(
+        {"name": "wide", "vertices": [[-1, -1], ["\uff11\uff12", -1], [1, 1],
+                                      [-1, 1]]}))
+    code, out, err = run(capsys, "betti", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("error: ValueError: malformed rational string "
+                   "'\uff11\uff12'\n")
+
+
 def test_malformed_json_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -9,7 +9,9 @@ sympy's exact solver, on the corpus, on the fold regions of every fold shape
 and on generated polygons of all six shapes (bench/generators.py, read as a
 plain module). On the generated folds, the degree-2 invariants from orbit
 sums are compared with the kernel of the stacked (rho - 1) blocks, and the
-pairing continuant with sympy's determinant.
+pairing continuant with sympy's determinant. On every fold, each degree-2
+rank taken in edge coordinates (CohomologyRing.deg2_rank) is compared with
+the rank of the same forms in deg2_basis coordinates.
 """
 
 import importlib.util
@@ -19,7 +21,9 @@ from pathlib import Path
 
 import sympy
 
-from test_cohomology import kernel_invariants, sympy_det
+from test_cohomology import (
+    deg2_columns, kernel_invariants, row_classes, sympy_det,
+)
 from test_symmetry import _all_fold_shapes
 
 from toricsym.catalog import corpus
@@ -32,7 +36,7 @@ from toricsym.symmetry import (
     Reflection, coefficient_pair, detect_reflections, fundamental_region,
     maximal_dihedral,
 )
-from toricsym.theorem import group_ring_actions
+from toricsym.theorem import build_dihedral_map, group_ring_actions
 
 _GEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
 _spec = importlib.util.spec_from_file_location("bench_generators", _GEN_PATH)
@@ -139,11 +143,32 @@ def test_orbit_sum_invariants_match_the_kernel_on_generated_folds():
         oracle = kernel_invariants(ring, gens)
         inv = invariant_deg2(ring, gens)
         single = len(fr.etas) == 1
-        assert spans_equal(oracle, inv), fr.kind
-        assert (oracle.cols == rank(inv) == fr.region.m - 2
-                == inv.cols - (1 if single else 0)), fr.kind
+        assert spans_equal(oracle, row_classes(ring, inv)), fr.kind
+        assert (oracle.cols == ring.deg2_rank(inv.row_list())
+                == fr.region.m - 2 == inv.rows - (1 if single else 0)), fr.kind
         for s in orbit_sums(ring.m, [a.perm for a in gens]):
             assert all(permute(s, a.perm) == s for a in gens), fr.kind
+
+
+def test_edge_coordinate_ranks_match_the_deg2_basis_route():
+    """deg2_rank(edge_rows(F)) is the rank of the normal-form columns of F
+    for the forms that verify_theorem ranks: the map images, the images of
+    the source basis, the orbit sums and their unions; the two linear
+    relations of either ring give 0."""
+    for p, g in FOLDS:
+        fr = fundamental_region(p, g)
+        rmap = build_dihedral_map(fr)
+        ring = rmap.target
+        gens, _ = group_ring_actions(ring, fr)
+        images = list(rmap.images)
+        basis_images = [images[b] for b in rmap.source.deg2_basis]
+        orbits = list(orbit_sums(ring.m, [a.perm for a in gens]))
+        for forms in (images, basis_images, orbits, images + orbits,
+                      basis_images + orbits):
+            assert (ring.deg2_rank(ring.edge_rows(forms))
+                    == rank(deg2_columns(ring, forms))), fr.kind
+        for r in (ring, rmap.source):
+            assert r.deg2_rank(r.edge_rows(r.pres.linear_polys())) == 0
 
 
 def test_pairing_continuant_on_generated_folds():

@@ -11,6 +11,7 @@ pins down the square's ring once more.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 import sympy
@@ -114,6 +115,18 @@ def test_linear_relations_annihilate_the_table():
                 total = sum(rows[r, j] * ring.product_table[i][j]
                             for j in range(p.m))
                 assert total == 0, (name, i, r)
+
+
+def test_edge_rows_and_deg2_rank():
+    ring = cohomology_ring(square())
+    f = linear_poly({0: 2, 3: -1})
+    assert ring.edge_rows([{}, f]) == [(0, 0, 0, 0), (2, 0, 0, -1)]
+    # x0 = x2 and x1 = x3 in H^2, which has dimension 2
+    assert ring.deg2_rank([]) == ring.deg2_rank(ring.edge_rows([{}])) == 0
+    assert ring.deg2_rank([(1, 0, -1, 0), (0, 1, 0, -1)]) == 0
+    assert ring.deg2_rank([(1, 0, 0, 0), (0, 0, 1, 0)]) == 1
+    assert ring.deg2_rank(ring.edge_rows(
+        linear_poly({i: 1}) for i in range(4))) == 2
 
 
 def test_degree_routing():
@@ -254,6 +267,27 @@ def test_ring_action_rejects_non_symmetries():
         ring_action(ring2, (1, 2, 3, 4, 0))
 
 
+def test_ring_action_adjacency_test_is_the_pairwise_predicate():
+    # ring_action checks only the m pairs (i, i+1); on the hexagon's 720
+    # permutations it must reject exactly those that send some disjoint pair
+    # to adjacent edges
+    p = hexagon()
+    ring = cohomology_ring(p)
+    rejected = 0
+    for perm in permutations(range(p.m)):
+        pairwise = any(not p.adjacent(i, j) and p.adjacent(perm[i], perm[j])
+                       for i in range(p.m) for j in range(i + 1, p.m))
+        try:
+            ring_action(ring, perm)
+            raised = False
+        except NotASymmetry as exc:
+            raised = "adjacent pair" in str(exc)
+        assert raised == pairwise, perm
+        rejected += raised
+    # all but the 12 dihedral relabelings of the hexagon's cycle
+    assert rejected == 720 - 12
+
+
 def test_ring_action_sees_normals_only():
     # the ring cannot distinguish a rectangle from a square: both have the
     # same normal fan, so the quarter-turn relabeling preserves both ideals
@@ -303,6 +337,22 @@ def kernel_invariants(ring, actions):
     return RatMatrix.from_rows([[v[r] for v in kb] for r in range(len(basis))])
 
 
+def deg2_columns(ring, forms):
+    """Columns of the deg2_basis coordinates of linear forms, each reduced by
+    normal_form; the empty form is the zero column. This is the coordinate
+    route that ranks were taken on before edge coordinates."""
+    dim = len(ring.deg2_basis)
+    cols = [ring.normal_form(f).coords if f else (F(0),) * dim for f in forms]
+    return RatMatrix.from_rows([[c[r] for c in cols] for r in range(dim)])
+
+
+def row_classes(ring, mat):
+    """deg2_columns of the linear forms whose edge coordinates are the rows
+    of mat."""
+    return deg2_columns(ring, [linear_poly(dict(enumerate(r)))
+                               for r in mat.row_list()])
+
+
 def test_invariants_square_full_group():
     """The kernel route and the orbit-sum route give the same invariants, of
     dimension region.m - 2, for every corpus polygon under each mirror and
@@ -322,9 +372,11 @@ def test_invariants_square_full_group():
             inv = invariant_deg2(ring, gens)
             region = fundamental_region(p, g)
             shapes.add(region.kind)
-            assert spans_equal(oracle, inv), name
-            assert spans_equal(inv, reynolds_image(ring, acts)), name
-            assert oracle.cols == rank(inv) == region.region.m - 2, name
+            assert spans_equal(oracle, row_classes(ring, inv)), name
+            assert spans_equal(row_classes(ring, inv), row_classes(
+                ring, reynolds_image(ring, acts))), name
+            assert (oracle.cols == ring.deg2_rank(inv.row_list())
+                    == region.region.m - 2), name
     assert shapes == {"1-1", "1-2", "1-3", "2-1", "2-2", "2-3"}
 
 
@@ -344,7 +396,7 @@ def test_invariant_dims_match_region_edge_counts():
                 for r in (g.s1, g.s2)]
         kern = invariant_deg2(ring, gens)
         fr = fundamental_region(p, g)
-        assert kern.cols == fr.region.m - 2
+        assert kern.rows == fr.region.m - 2
 
 
 def test_orbit_sums_partition():

@@ -168,7 +168,9 @@ def test_parse_rational_strict():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-7") == F(-7)
     assert parse_rational(5) == F(5)
-    for bad in (1.5, True, "1.5", "3/0", "1/-2", "a", None, [1]):
+    # str.isdigit digits outside ASCII, which \d and Fraction() accept
+    for bad in (1.5, True, "1.5", "3/0", "1/-2", "a", None, [1],
+                "\u0661", "\uff11\uff12", "\u0663/\u0664"):
         with pytest.raises(ValueError):
             parse_rational(bad)
     assert format_rational(F(-3, 4)) == "-3/4"

@@ -287,8 +287,8 @@ def test_ninegon_reorder_warning_propagates():
     (lambda: builtin("g2"), "dihedral"), (house_pentagon, "mirror"),
     (ninegon, "dihedral")], ids=["g2", "house", "ninegon"])
 def test_verify_ranks_each_matrix_once(make, group, monkeypatch):
+    import toricsym.cohomology
     import toricsym.exactlin
-    import toricsym.theorem
     ranked = []
     real = toricsym.exactlin.rank
 
@@ -296,7 +296,7 @@ def test_verify_ranks_each_matrix_once(make, group, monkeypatch):
         ranked.append(a)
         return real(a)
 
-    for module in (toricsym.exactlin, toricsym.theorem):
+    for module in (toricsym.exactlin, toricsym.cohomology):
         monkeypatch.setattr(module, "rank", counting)
     p = make()
     refs = detect_reflections(p)
