@@ -10,12 +10,15 @@ is 1, m-2, 1 in degrees 0, 2, 4 and zero above.
 Polynomials are plain dicts mapping sorted variable-index tuples to
 Fractions. Degree-2 classes are coordinatized on x_2 .. x_{m-1}, with x_0
 and x_1 given by Cramer's rule; degree-4 classes on the point class.
-Degree-2 ranks are taken in edge coordinates instead (deg2_rank). Degree-4
-products come from the closed-form intersection table of the normal fan
-(Fulton, Introduction to Toric Varieties, ch. 5): with the edge normals n_i
-in counterclockwise order, x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the
-point class, x_i^2 is -det(n_{i-1}, n_{i+1}) / (det(n_{i-1}, n_i)
-det(n_i, n_{i+1})) times it, and every other product is zero.
+Degree-2 ranks are taken in edge coordinates instead (deg2_rank), by the
+sparse elimination of exactlin.rank. Degree-4 products come from the
+closed-form intersection table T of the normal fan (Fulton, Introduction to
+Toric Varieties, ch. 5): with the edge normals n_i in counterclockwise
+order, x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the point class, x_i^2 is
+-det(n_{i-1}, n_{i+1}) / (det(n_{i-1}, n_i) det(n_i, n_{i+1})) times it, and
+every other product is zero. T is cyclic tridiagonal, so the product of two
+linear forms v, w is the bilinear form v^T T w (deg4), which reads three
+table entries per term of v.
 
 A symmetry of the polygon acts on the ring by permuting the edge variables,
 so a group action is stored as a permutation and nothing else: the image of
@@ -23,20 +26,22 @@ a class is the normal form of the renamed polynomial (permute). Over Q the
 averaging operator sends x_i to a multiple of its orbit sum (Serre, Linear
 Representations of Finite Groups, 2.6), so the degree-2 invariants are
 spanned by the variable orbit sums (orbit_sums). The only elimination in
-this module is the rank inside deg2_rank.
+this module is the sparse rank inside deg2_rank, whose rows are orbit sums,
+map images and the two relation rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     DegeneratePairing, DegreeTooHigh, NotASymmetry, UnexpectedBettiNumber,
 )
 from .exactlin import Rat, RatMatrix, Vec, rank
-from .geometry import RationalPolygon, cross
+from .geometry import IntVec, RationalPolygon
 
 Poly = dict[tuple[int, ...], Rat]
 
@@ -100,12 +105,6 @@ class Presentation:
     sr_cubic: Optional[tuple[int, int, int]]
     linear_rows: RatMatrix  # 2 x m
 
-    def sr_polys(self) -> tuple[Poly, ...]:
-        gens = [poly({q: 1}) for q in self.sr_quadratics]
-        if self.sr_cubic is not None:
-            gens.append(poly({self.sr_cubic: 1}))
-        return tuple(gens)
-
     def linear_polys(self) -> tuple[Poly, Poly]:
         r0, r1 = self.linear_rows.row(0), self.linear_rows.row(1)
         return (linear_poly(dict(enumerate(r0))),
@@ -138,12 +137,19 @@ class CohomologyRing:
     deg2_basis: tuple[int, ...]             # (2, ..., m-1)
     _pivot_rows: tuple[Vec, Vec]            # classes of x_0 and x_1
     product_table: tuple[tuple[Rat, ...], ...]
-    pairing: RatMatrix
     pairing_det: Rat
 
     @property
     def m(self) -> int:
         return self.pres.polygon.m
+
+    @cached_property
+    def pairing(self) -> RatMatrix:
+        """The degree-2 intersection pairing on deg2_basis, built on first
+        use: only its printout needs the dense matrix."""
+        t = self.product_table
+        return RatMatrix.from_rows(
+            [[t[a][b] for b in self.deg2_basis] for a in self.deg2_basis])
 
     # -- normal forms -----------------------------------------------------
 
@@ -186,8 +192,31 @@ class CohomologyRing:
         the rank of rows with the two rows of pres.linear_rows appended, minus
         2 (adjacent normals are independent, so those two have rank 2). Rows
         A and B span the same classes iff deg2_rank of A, B and A + B agree."""
-        return rank(RatMatrix.from_rows(
-            [*rows, *self.pres.linear_rows.row_list()])) - 2
+        lin = self.pres.linear_rows
+        return rank([*rows, lin.row(0), lin.row(1)]) - 2
+
+    def deg4(self, v: Poly, w: Poly) -> Rat:
+        """The point-class coordinate of the product of two linear forms,
+        v^T T w for the intersection table T. T is cyclic tridiagonal, so a
+        term c x_i of v meets only x_{i-1}, x_i and x_{i+1} of w, and the
+        sparser form is walked: O(min(|supp v|, |supp w|))."""
+        if len(w) < len(v):
+            v, w = w, v
+        m, t = self.m, self.product_table
+        total = Fraction(0)
+        for (i,), c in v.items():
+            row = t[i]
+            for j in ((i - 1) % m, i, (i + 1) % m):
+                x = w.get((j,))
+                if x is not None:
+                    total += c * row[j] * x
+        return total
+
+
+def _cross(a: IntVec, b: IntVec) -> int:
+    """det(a, b) of two integer vectors, such as edge normals; an int, so
+    that each table entry is built once as Fraction(num, den)."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
@@ -201,27 +230,24 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
     pres = presentation(p)
     m = p.m
     n = p.normals()
-    det = [cross(n[i], n[(i + 1) % m]) for i in range(m)]  # det(n_i, n_i+1)
+    det = [_cross(n[i], n[(i + 1) % m]) for i in range(m)]  # det(n_i, n_i+1)
     basis = tuple(range(2, m))
-    pivot_rows = (tuple(-cross(n[b], n[1]) / det[0] for b in basis),
-                  tuple(-cross(n[0], n[b]) / det[0] for b in basis))
+    pivot_rows = (tuple(Fraction(-_cross(n[b], n[1]), det[0]) for b in basis),
+                  tuple(Fraction(-_cross(n[0], n[b]), det[0]) for b in basis))
 
     table = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
         j = (i + 1) % m
-        table[i][j] = table[j][i] = 1 / abs(det[i])
-        table[i][i] = -cross(n[i - 1], n[j]) / (det[i - 1] * det[i])
+        table[i][j] = table[j][i] = Fraction(1, abs(det[i]))
+        table[i][i] = Fraction(-_cross(n[i - 1], n[j]), det[i - 1] * det[i])
     for r in (0, 1):
-        row = pres.linear_rows.row(r)
         for i in range(m):
-            if sum(row[k % m] * table[k % m][i] for k in (i - 1, i, i + 1)):
+            if sum(n[k % m][r] * table[k % m][i] for k in (i - 1, i, i + 1)):
                 raise UnexpectedBettiNumber(
                     f"linear relation {r} does not annihilate the "
                     f"intersection numbers of x{i}")
     table = tuple(tuple(row) for row in table)
 
-    pairing = RatMatrix.from_rows(
-        [[table[a][b] for b in basis] for a in basis])
     pairing_det, prev = Fraction(1), Fraction(0)
     for b in basis:
         pairing_det, prev = (table[b][b] * pairing_det
@@ -230,8 +256,7 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
         raise DegeneratePairing("degree-2 intersection pairing is singular")
     return CohomologyRing(
         pres=pres, betti=(1, m - 2, 1), deg2_basis=basis,
-        _pivot_rows=pivot_rows, product_table=table, pairing=pairing,
-        pairing_det=pairing_det)
+        _pivot_rows=pivot_rows, product_table=table, pairing_det=pairing_det)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Everything here is built on fractions.Fraction; no floats enter at any point.
-The pivot rule is fixed (leftmost column, topmost unused row) so reduced
-echelon forms, pivot sets and kernel bases are deterministic across runs.
+rank is a sparse elimination on {column: Fraction} rows, the sparsest row
+pivoting first. rref keeps a fixed pivot rule (leftmost column, topmost
+unused row), so reduced echelon forms, pivot sets and kernel bases are
+deterministic across runs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class RatMatrix:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        return RatMatrix(n, m, tuple(Fraction(x) for r in rows for x in r))
+        return RatMatrix(n, m, tuple(
+            x if type(x) is Fraction else Fraction(x) for r in rows for x in r))
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -118,8 +121,44 @@ def rref(a: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     return RatMatrix.from_rows(m) if m else a, tuple(pivots)
 
 
-def rank(a: RatMatrix) -> int:
-    return len(rref(a)[1])
+def rank(a: RatMatrix | Iterable[Sequence | dict[int, object]]) -> int:
+    """Rank of a matrix, given as a RatMatrix or as rows that are sequences
+    (dense) or {column: value} dicts (sparse), by sparse elimination.
+
+    Rows are held as {column: Fraction} dicts of their nonzero entries. The
+    pivot is always the remaining row with the fewest entries; its first
+    column is eliminated from the other rows, and a row that becomes empty
+    is dropped. Sparse rows (orbit sums, single variables) then pivot first
+    and each costs O(its support) on every row it meets.
+    """
+    if isinstance(a, RatMatrix):
+        a = a.row_list()
+    rows = []
+    for r in a:
+        d = {j: x if type(x) is Fraction else Fraction(x) for j, x in
+             (r.items() if isinstance(r, dict) else enumerate(r)) if x}
+        if d:
+            rows.append(d)
+    found = 0
+    while rows:
+        piv = rows.pop(min(range(len(rows)), key=lambda k: len(rows[k])))
+        c = min(piv)
+        pc = piv[c]
+        for row in rows:
+            f = row.get(c)
+            if f is None:
+                continue
+            f /= pc
+            for j, x in piv.items():
+                y = row.get(j)
+                y = -f * x if y is None else y - f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        rows = [row for row in rows if row]
+        found += 1
+    return found
 
 
 def kernel_basis(a: RatMatrix) -> tuple[Vec, ...]:

@@ -124,18 +124,21 @@ def _nf_str(coords) -> str:
 def check_well_defined(rmap: RingMap,
                        names: dict[int, str] | None = None) -> CheckResult:
     """Push every source ideal generator through the map and record its
-    normal form in the target; all must vanish."""
-    pres = rmap.source.pres
-    labeled = [("sr", g) for g in pres.sr_polys()]
-    labeled += [("linear", g) for g in pres.linear_polys()]
-    wit = []
-    ok = True
-    for label, gen in labeled:
-        nf = rmap.target.normal_form(rmap.apply(gen))
-        good = nf.is_zero()
-        ok = ok and good
-        wit.append(f"{label} {poly_str(gen, names)} -> {_nf_str(nf.coords)}")
-    return CheckResult(ok, tuple(wit))
+    class in the target; all must vanish. A quadratic x_i x_j goes to
+    deg4(image_i, image_j), the triangle's cubic to degree 6, which is zero,
+    and a linear relation to the normal form of its image."""
+    pres, tgt, images = rmap.source.pres, rmap.target, rmap.images
+    one = Fraction(1)
+    labeled = [("sr", {(i, j): one}, (tgt.deg4(images[i], images[j]),))
+               for i, j in pres.sr_quadratics]
+    if pres.sr_cubic is not None:
+        labeled.append(("sr", {pres.sr_cubic: one}, ()))
+    labeled += [("linear", g, tgt.normal_form(rmap.apply(g)).coords)
+                for g in pres.linear_polys()]
+    ok = all(c == 0 for _, _, coords in labeled for c in coords)
+    return CheckResult(ok, tuple(
+        f"{label} {poly_str(g, names)} -> {_nf_str(coords)}"
+        for label, g, coords in labeled))
 
 
 def group_ring_actions(ring: CohomologyRing, fr: FundamentalRegion,
@@ -152,17 +155,23 @@ def check_image_invariant(rmap: RingMap, gen_actions, inv_matrix: RatMatrix,
                           names: dict[int, str] | None = None,
                           ) -> InvarianceResult:
     """(a) every generator image is fixed by every generator action: renaming
-    its variables by the action's permutation leaves its normal form as it
-    is; (b) the degree-2 images span exactly the invariant subspace. The
-    rank of inv_matrix is kept in the result for the later checks."""
+    its variables by the action's permutation leaves the polynomial, or else
+    its normal form, as it is; (b) the degree-2 images span exactly the
+    invariant subspace. The rank of inv_matrix is kept in the result for the
+    later checks."""
     tgt = rmap.target
     wit = []
     fixed_ok = True
     for idx, img in enumerate(rmap.images):
-        coords = tgt.normal_form(img).coords
+        coords = None
         label = (names or {}).get(idx, f"x{idx}")
         for k, act in enumerate(gen_actions, start=1):
-            good = tgt.normal_form(permute(img, act.perm)).coords == coords
+            moved = permute(img, act.perm)
+            good = moved == img
+            if not good:  # e.g. a mirror image, fixed only modulo M_Q
+                if coords is None:
+                    coords = tgt.normal_form(img).coords
+                good = tgt.normal_form(moved).coords == coords
             fixed_ok = fixed_ok and good
             wit.append(f"image of {label} {'fixed' if good else 'moved'} "
                        f"by generator {k}")
@@ -215,8 +224,7 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
 
     # source products read off the table; region edges 0 and 1 are adjacent
     t = src.product_table
-    scalar = tgt.normal_form(
-        poly_mul(rmap.images[0], rmap.images[1])).coords[0] / t[0][1]
+    scalar = tgt.deg4(rmap.images[0], rmap.images[1]) / t[0][1]
     inj4 = scalar != 0
 
     mult = True
@@ -224,8 +232,7 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
         for b in src.deg2_basis:
             if b < a:
                 continue
-            lhs = tgt.normal_form(
-                poly_mul(rmap.images[a], rmap.images[b])).coords[0]
+            lhs = tgt.deg4(rmap.images[a], rmap.images[b])
             mult = mult and lhs == scalar * t[a][b]
 
     orient = all(a.deg4_scalar == 1 for a in all_actions)

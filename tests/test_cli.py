@@ -3,8 +3,12 @@
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from io import StringIO
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from toricsym.cli import main
 
@@ -340,3 +344,113 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "b = (1, 2, 1)" in proc.stdout
+
+
+# -- fuzzing the polygon input -------------------------------------------------
+
+_rational_text = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10**30, 10**30),
+              st.one_of(st.integers(-3, 3), st.integers(1, 10**30))),
+    st.sampled_from(["0/0", "1/0", "1/", "/2", " 3 ", "+1", "1_0", "1e3",
+                     "0x10", "\u00bd", "\u0661", "\uff11\uff12",
+                     "\u0663/\u0664", "-\u0662", ""]),
+    st.text(max_size=5))
+_coordinate = st.one_of(
+    st.integers(-6, 6), st.integers(-10**40, 10**40), _rational_text,
+    st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_SYMMETRIC = [
+    [(1, 1), (-1, 1), (-1, -1), (1, -1)],
+    [(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)],
+    [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)],
+    [(3, 0), (0, 1), (-3, 0), (0, -1)],
+    [(0, 2), (-1, -1), (1, -1)],
+]
+
+
+def _write(x: Fraction, as_text: bool):
+    if x.denominator == 1 and not as_text:
+        return x.numerator
+    return f"{x.numerator}/{x.denominator}"
+
+
+@st.composite
+def _near_symmetric_vertices(draw):
+    """A symmetric convex polygon, scaled by a rational that may carry a huge
+    denominator, then perhaps given a repeated vertex, a collinear midpoint,
+    two swapped vertices or the reverse order."""
+    pts = [tuple(map(Fraction, v)) for v in draw(st.sampled_from(_SYMMETRIC))]
+    scale = draw(st.one_of(
+        st.fractions(min_value=Fraction(1, 9), max_value=9,
+                     max_denominator=9),
+        st.builds(lambda k: Fraction(1, 10**k), st.integers(20, 60))))
+    pts = [(x * scale, y * scale) for x, y in pts]
+    edit = draw(st.sampled_from(("none", "none", "repeat", "midpoint", "swap",
+                                 "reverse", "rotate")))
+    i = draw(st.integers(0, len(pts) - 1))
+    j = (i + 1) % len(pts)
+    if edit == "repeat":
+        pts.insert(i, pts[i])
+    elif edit == "midpoint":
+        pts.insert(j, ((pts[i][0] + pts[j][0]) / 2, (pts[i][1] + pts[j][1]) / 2))
+    elif edit == "swap":
+        pts[i], pts[j] = pts[j], pts[i]
+    elif edit == "reverse":
+        pts.reverse()
+    elif edit == "rotate":
+        pts = pts[i:] + pts[:i]
+    as_text = draw(st.booleans())
+    return [[_write(x, as_text), _write(y, as_text)] for x, y in pts]
+
+
+_halfspace = st.one_of(
+    st.fixed_dictionaries({
+        "normal": st.one_of(st.lists(st.integers(-3, 3), min_size=2,
+                                     max_size=2), _coordinate),
+        "offset": st.one_of(st.integers(-4, 0), _coordinate)}),
+    st.dictionaries(st.sampled_from(["normal", "offset", "extra"]),
+                    _coordinate, max_size=3))
+_garbage_vertices = st.lists(
+    st.one_of(st.lists(_coordinate, max_size=3), _coordinate), max_size=6)
+_polygon_json = st.one_of(
+    st.fixed_dictionaries({"name": st.text(max_size=4),
+                           "vertices": _near_symmetric_vertices()}),
+    st.fixed_dictionaries({"vertices": _near_symmetric_vertices()}),
+    st.fixed_dictionaries({"vertices": st.lists(
+        st.lists(st.integers(-4, 4), min_size=2, max_size=2), max_size=8)}),
+    st.fixed_dictionaries({"halfspaces": st.lists(_halfspace, max_size=6)}),
+    st.fixed_dictionaries({"vertices": _garbage_vertices}),
+    st.fixed_dictionaries({"vertices": _near_symmetric_vertices(),
+                           "halfspaces": st.lists(_halfspace, max_size=2)}),
+    st.fixed_dictionaries({"name": _coordinate,
+                           "vertices": _near_symmetric_vertices()}),
+    st.dictionaries(st.text(max_size=3), _coordinate, max_size=2),
+    _coordinate)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_polygon_json, st.sampled_from(["text", "json"]))
+def test_fuzzed_polygon_json_maps_to_an_exit_code(tmp_path_factory, obj, fmt):
+    """Whatever the polygon JSON, analyze, betti, symmetries and verify
+    return 0, 1 or 2 and never raise; 1 comes only from verify, after it has
+    printed its report, and 2 only with an error line."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(obj))
+    for command in ("analyze", "betti", "symmetries", "verify"):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--input", str(path), "--format", fmt])
+        assert code in (0, 1, 2), (command, obj)
+        event(f"{command} exit {code}")
+        if code == 1:
+            assert command == "verify", obj
+            report = out.getvalue()
+            assert ("isomorphism: false" in report if fmt == "text"
+                    else json.loads(report)["isomorphism"] is False), obj
+        elif code == 2:
+            assert out.getvalue() == "", (command, obj)
+            assert err.getvalue().startswith("error: "), (command, obj)
+        else:
+            assert out.getvalue() and not err.getvalue(), (command, obj)

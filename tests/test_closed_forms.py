@@ -11,11 +11,15 @@ plain module). On the generated folds, the degree-2 invariants from orbit
 sums are compared with the kernel of the stacked (rho - 1) blocks, and the
 pairing continuant with sympy's determinant. On every fold, each degree-2
 rank taken in edge coordinates (CohomologyRing.deg2_rank) is compared with
-the rank of the same forms in deg2_basis coordinates.
+the rank of the same forms in deg2_basis coordinates, and each degree-4
+value of the bilinear form (CohomologyRing.deg4) with the normal form of the
+polynomial product. The table built on integer determinants is compared
+with the same closed form evaluated on Fractions.
 """
 
 import importlib.util
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -28,10 +32,11 @@ from test_symmetry import _all_fold_shapes
 
 from toricsym.catalog import corpus
 from toricsym.cohomology import (
-    cohomology_ring, invariant_deg2, orbit_sums, permute,
+    cohomology_ring, invariant_deg2, linear_poly, orbit_sums, permute,
+    poly_mul,
 )
 from toricsym.exactlin import RatMatrix, kernel_basis, rank, rref, spans_equal
-from toricsym.geometry import polygon_from_vertices, primitive
+from toricsym.geometry import cross, polygon_from_vertices, primitive
 from toricsym.symmetry import (
     Reflection, coefficient_pair, detect_reflections, fundamental_region,
     maximal_dihedral,
@@ -176,3 +181,51 @@ def test_pairing_continuant_on_generated_folds():
         for q in (p, fundamental_region(p, g).region):
             ring = cohomology_ring(q)
             assert ring.pairing_det == sympy_det(ring.pairing) != 0
+
+
+def test_deg4_is_the_normal_form_of_the_product():
+    """deg4(v, w) is the point-class coordinate of normal_form(v * w): for
+    every pair of map images on every fold, and for every pair of variables
+    x_i, x_j of every corpus ring and of both rings of every fold."""
+    def agree(ring, forms):
+        for v in forms:
+            for w in forms:
+                want = ring.normal_form(poly_mul(v, w)).coords[0]
+                assert ring.deg4(v, w) == want, (ring.m, v, w)
+
+    def variables(ring):
+        return [linear_poly({i: 1}) for i in range(ring.m)]
+
+    for p in corpus().values():
+        ring = cohomology_ring(p)
+        agree(ring, variables(ring))
+    for p, g in FOLDS:
+        rmap = build_dihedral_map(fundamental_region(p, g))
+        agree(rmap.target, list(rmap.images))
+        for ring in (rmap.target, rmap.source):
+            agree(ring, variables(ring))
+
+
+def test_integer_determinant_table_is_the_fraction_table():
+    """The table and the classes of x_0, x_1, built from int determinants,
+    equal the closed forms evaluated with geometry.cross on Fractions, and
+    every entry is a Fraction."""
+    polygons = list(corpus().values()) + [p for p, _ in FOLDS]
+    polygons += [fr.region for fr in REGIONS]
+    for p in polygons:
+        ring = cohomology_ring(p)
+        m, n = p.m, p.normals()
+        det = [cross(n[i], n[(i + 1) % m]) for i in range(m)]
+        table = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            j = (i + 1) % m
+            table[i][j] = table[j][i] = 1 / abs(det[i])
+            table[i][i] = -cross(n[i - 1], n[j]) / (det[i - 1] * det[i])
+        assert ring.product_table == tuple(map(tuple, table)), p
+        assert ring.deg2_nf(0) == tuple(
+            -cross(n[b], n[1]) / det[0] for b in ring.deg2_basis)
+        assert ring.deg2_nf(1) == tuple(
+            -cross(n[0], n[b]) / det[0] for b in ring.deg2_basis)
+        values = [x for row in ring.product_table for x in row]
+        values += ring.deg2_nf(0) + ring.deg2_nf(1)
+        assert all(type(x) is Fraction for x in values), p

@@ -103,3 +103,47 @@ def test_rref_idempotent(a):
     red, pivots = rref(a)
     again, pivots2 = rref(red)
     assert again == red and pivots2 == pivots
+
+
+sparse_fractions = st.one_of(st.just(F(0)), small_fractions)
+
+
+@st.composite
+def structured_matrices(draw):
+    """Rational matrices, tall or wide, whose rows are drawn rows, zero rows,
+    repeats of earlier rows and sums of two earlier rows, in any order."""
+    m = draw(st.integers(1, 7))
+    rows: list[list[F]] = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("new", "zero", "repeat", "sum")))
+        if kind == "zero":
+            rows.append([F(0)] * m)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "sum" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(sparse_fractions, min_size=m,
+                                      max_size=m)))
+    return RatMatrix.from_rows(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(structured_matrices())
+def test_sparse_rank_matches_sympy_in_every_row_form(a):
+    """rank takes a RatMatrix, dense rows or {column: value} rows alike, and
+    agrees with sympy's Matrix.rank() on each."""
+    want = sympy.Matrix(a.row_list()).rank()
+    dict_rows = [{j: x for j, x in enumerate(r) if x} for r in a.row_list()]
+    assert rank(a) == rank(a.row_list()) == rank(dict_rows) == want
+    assert rank(a.transpose()) == want
+
+
+def test_sparse_rank_degenerate_inputs():
+    assert rank([]) == rank([{}]) == rank([[0, 0], {}]) == 0
+    assert rank([{5: 1}, [0, 0, 0, 0, 0, 2]]) == 1
+    # integer rows are promoted to Fraction: in floats, 10**20 + 1 and
+    # 10**20 are equal and these rows would have rank 1
+    assert rank([[1, 10**20 + 1], [1, 10**20]]) == 2
+    assert rank([[2, 3], [4, 6]]) == 1
