@@ -12,8 +12,8 @@ from .catalog import (
     hexagon, house_pentagon, ninegon, square,
 )
 from .cohomology import (
-    CohomologyRing, Presentation, RingElement, cohomology_ring, invariant_deg2,
-    orbit_sums, reynolds_image, ring_action,
+    CohomologyRing, Presentation, cohomology_ring, invariant_deg2, orbit_sums,
+    reynolds_image, ring_action,
 )
 from .errors import (
     CaseMismatch, DegenerateOffsets, DegeneratePairing, NotASymmetry,
@@ -42,7 +42,7 @@ __all__ = [
     "BUILTINS", "CaseMismatch", "CoeffTable", "CohomologyRing",
     "DegenerateOffsets", "DegeneratePairing", "DihedralGroup",
     "FundamentalRegion", "NotASymmetry", "Presentation", "RationalPolygon",
-    "Reflection", "RingElement", "RingMap", "RootSystem", "ToricSymError",
+    "Reflection", "RingMap", "RootSystem", "ToricSymError",
     "VerificationReport", "build_dihedral_map", "builtin",
     "check_image_invariant", "check_isomorphism", "check_well_defined",
     "circle_polygon", "cohomology_ring", "corpus", "d12_polytope",

@@ -14,6 +14,7 @@ there is no randomness to seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -39,7 +40,10 @@ _EPILOG = ("Inputs must be exact rationals (integers or 'p/q' strings); "
            "is not consulted (nothing here is random).")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it depends on no
+    input, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="toricsym", epilog=_EPILOG)
     sub = parser.add_subparsers(dest="command", required=True)
 

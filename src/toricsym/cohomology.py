@@ -7,27 +7,29 @@ single cubic x_0 x_1 x_2) and J by the two linear forms sum_i <e_k, n_i> x_i
 built from the edge normals. Gradings: variables sit in degree 2, the ring
 is 1, m-2, 1 in degrees 0, 2, 4 and zero above.
 
-Polynomials are plain dicts mapping sorted variable-index tuples to
-Fractions. Degree-2 classes are coordinatized on x_2 .. x_{m-1}, with x_0
-and x_1 given by Cramer's rule; degree-4 classes on the point class.
-Degree-2 ranks are taken in edge coordinates instead (deg2_rank), by the
-sparse elimination of exactlin.rank. Degree-4 products come from the
-closed-form intersection table T of the normal fan (Fulton, Introduction to
-Toric Varieties, ch. 5): with the edge normals n_i in counterclockwise
-order, x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the point class, x_i^2 is
--det(n_{i-1}, n_{i+1}) / (det(n_{i-1}, n_i) det(n_i, n_{i+1})) times it, and
-every other product is zero. T is cyclic tridiagonal, so the product of two
-linear forms v, w is the bilinear form v^T T w (deg4), which reads three
-table entries per term of v.
+A linear form, which is all the checks ever need, is a Row: a dict mapping
+an edge index i to the nonzero Fraction coefficient of x_i. H^2 is Q^E / M_Q,
+so a degree-2 class is a row read modulo the two relation rows of the
+presentation. Its coordinates on x_2 .. x_{m-1} (deg2_class) come from
+Cramer's rule for x_0 and x_1; ranks of classes are taken on the rows
+themselves (deg2_rank), by the sparse elimination of exactlin.rank. Degree-4
+values come from the closed-form intersection table T of the normal fan
+(Fulton, Introduction to Toric Varieties, ch. 5): with the edge normals n_i
+in counterclockwise order, x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the
+point class, x_i^2 is -det(n_{i-1}, n_{i+1}) / (det(n_{i-1}, n_i)
+det(n_i, n_{i+1})) times it, and every other product is zero. T is cyclic
+tridiagonal, so the product of two linear forms v, w is the bilinear form
+v^T T w (deg4), which reads three table entries per term of v. Polynomials
+(Poly) appear only in witness text, printed by poly_str.
 
 A symmetry of the polygon acts on the ring by permuting the edge variables,
-so a group action is stored as a permutation and nothing else: the image of
-a class is the normal form of the renamed polynomial (permute). Over Q the
-averaging operator sends x_i to a multiple of its orbit sum (Serre, Linear
-Representations of Finite Groups, 2.6), so the degree-2 invariants are
-spanned by the variable orbit sums (orbit_sums). The only elimination in
-this module is the sparse rank inside deg2_rank, whose rows are orbit sums,
-map images and the two relation rows.
+so a group action is stored as a permutation and nothing else: it moves the
+coefficient of x_i of a row to x_{perm[i]}. Over Q the averaging operator
+sends x_i to a multiple of its orbit sum (Serre, Linear Representations of
+Finite Groups, 2.6), so the degree-2 invariants are spanned by the variable
+orbit sums (orbit_sums). The only elimination in this module is the sparse
+rank inside deg2_rank, whose rows are orbit sums, map images and the two
+relation rows.
 """
 
 from __future__ import annotations
@@ -37,49 +39,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import (
-    DegeneratePairing, DegreeTooHigh, NotASymmetry, UnexpectedBettiNumber,
-)
+from .errors import DegeneratePairing, NotASymmetry, UnexpectedBettiNumber
 from .exactlin import Rat, RatMatrix, Vec, rank
 from .geometry import IntVec, RationalPolygon
 
-Poly = dict[tuple[int, ...], Rat]
-
-
-def poly(terms: Mapping[Sequence[int], object]) -> Poly:
-    out: Poly = {}
-    for mono, coef in terms.items():
-        key = tuple(sorted(mono))
-        coef = Fraction(coef)
-        if coef:
-            out[key] = out.get(key, Fraction(0)) + coef
-            if not out[key]:
-                del out[key]
-    return out
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-        if not out[k]:
-            del out[k]
-    return out
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(sorted(ka + kb))
-            out[k] = out.get(k, Fraction(0)) + va * vb
-            if not out[k]:
-                del out[k]
-    return out
-
-
-def linear_poly(coeffs: Mapping[int, object]) -> Poly:
-    return poly({(i,): c for i, c in coeffs.items()})
+Row = dict[int, Rat]                # a linear form: x_i -> nonzero coefficient
+Poly = dict[tuple[int, ...], Rat]   # monomial -> coefficient, for witnesses
 
 
 def poly_str(a: Poly, names: Optional[Mapping[int, str]] = None) -> str:
@@ -103,12 +68,7 @@ class Presentation:
     polygon: RationalPolygon
     sr_quadratics: tuple[tuple[int, int], ...]
     sr_cubic: Optional[tuple[int, int, int]]
-    linear_rows: RatMatrix  # 2 x m
-
-    def linear_polys(self) -> tuple[Poly, Poly]:
-        r0, r1 = self.linear_rows.row(0), self.linear_rows.row(1)
-        return (linear_poly(dict(enumerate(r0))),
-                linear_poly(dict(enumerate(r1))))
+    linear_rows: tuple[Row, Row]  # sum_i <e_k, n_i> x_i for k = 0, 1
 
 
 def presentation(p: RationalPolygon) -> Presentation:
@@ -116,18 +76,9 @@ def presentation(p: RationalPolygon) -> Presentation:
     quads = tuple((i, j) for i in range(m) for j in range(i + 1, m)
                   if not p.adjacent(i, j))
     cubic = (0, 1, 2) if m == 3 else None
-    rows = RatMatrix.from_rows([
-        [Fraction(p.edges[i].normal[k]) for i in range(m)] for k in (0, 1)])
+    rows = tuple({i: Fraction(e.normal[k]) for i, e in enumerate(p.edges)
+                  if e.normal[k]} for k in (0, 1))
     return Presentation(p, quads, cubic, rows)
-
-
-@dataclass(frozen=True)
-class RingElement:
-    degree: int
-    coords: Vec
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -151,51 +102,22 @@ class CohomologyRing:
         return RatMatrix.from_rows(
             [[t[a][b] for b in self.deg2_basis] for a in self.deg2_basis])
 
-    # -- normal forms -----------------------------------------------------
-
-    def deg2_nf(self, i: int) -> Vec:
-        return self.normal_form({(i,): Fraction(1)}).coords
-
-    def normal_form(self, f: Poly) -> RingElement:
-        """Class of a homogeneous polynomial (degree = 2 * monomial length).
-
-        Degree 6 and higher land in zero graded pieces and return the zero
-        class; mixed-degree input raises DegreeTooHigh.
-        """
-        if not f:
-            return RingElement(0, (Fraction(0),))
-        lengths = {len(k) for k in f}
-        if len(lengths) != 1:
-            raise DegreeTooHigh("polynomial is not homogeneous")
-        ln = lengths.pop()
-        if ln == 0:
-            return RingElement(0, (f[()],))
-        if ln == 1:
-            c0, c1 = (f.get((k,), Fraction(0)) for k in (0, 1))
-            return RingElement(2, tuple(
-                f.get((b,), Fraction(0)) + c0 * r0 + c1 * r1
-                for b, r0, r1 in zip(self.deg2_basis, *self._pivot_rows)))
-        if ln == 2:
-            t = self.product_table
-            return RingElement(4, (sum((c * t[i][j] for (i, j), c in f.items()),
-                                       Fraction(0)),))
-        return RingElement(2 * ln, ())
-
-    def edge_rows(self, forms: Iterable[Poly]) -> list[Vec]:
-        """Linear forms as rows of coefficients on x_0 .. x_{m-1}; the empty
-        form is the zero row."""
+    def deg2_class(self, row: Row) -> Vec:
+        """Coordinates on deg2_basis of the class of a linear form: x_0 and
+        x_1 are replaced by their classes, every other x_b is kept."""
         zero = Fraction(0)
-        return [tuple(f.get((i,), zero) for i in range(self.m)) for f in forms]
+        c0, c1 = row.get(0, zero), row.get(1, zero)
+        return tuple(row.get(b, zero) + c0 * r0 + c1 * r1
+                     for b, r0, r1 in zip(self.deg2_basis, *self._pivot_rows))
 
-    def deg2_rank(self, rows: Sequence[Sequence]) -> int:
-        """Dimension of the span of the edge rows' classes in H^2 = Q^E / M_Q:
-        the rank of rows with the two rows of pres.linear_rows appended, minus
-        2 (adjacent normals are independent, so those two have rank 2). Rows
-        A and B span the same classes iff deg2_rank of A, B and A + B agree."""
-        lin = self.pres.linear_rows
-        return rank([*rows, lin.row(0), lin.row(1)]) - 2
+    def deg2_rank(self, rows: Iterable[Row]) -> int:
+        """Dimension of the span of the rows' classes in H^2 = Q^E / M_Q: the
+        rank of rows with the two rows of pres.linear_rows appended, minus 2
+        (adjacent normals are independent, so those two have rank 2). Rows A
+        and B span the same classes iff deg2_rank of A, B and A + B agree."""
+        return rank([*rows, *self.pres.linear_rows]) - 2
 
-    def deg4(self, v: Poly, w: Poly) -> Rat:
+    def deg4(self, v: Row, w: Row) -> Rat:
         """The point-class coordinate of the product of two linear forms,
         v^T T w for the intersection table T. T is cyclic tridiagonal, so a
         term c x_i of v meets only x_{i-1}, x_i and x_{i+1} of w, and the
@@ -204,10 +126,10 @@ class CohomologyRing:
             v, w = w, v
         m, t = self.m, self.product_table
         total = Fraction(0)
-        for (i,), c in v.items():
+        for i, c in v.items():
             row = t[i]
             for j in ((i - 1) % m, i, (i + 1) % m):
-                x = w.get((j,))
+                x = w.get(j)
                 if x is not None:
                     total += c * row[j] * x
         return total
@@ -271,18 +193,22 @@ class RingAction:
     perm: tuple[int, ...]
     deg4_scalar: Rat
 
-
-def permute(f: Poly, perm: Sequence[int]) -> Poly:
-    """Rename the variables of f: x_i becomes x_{perm[i]}."""
-    return {tuple(sorted(perm[i] for i in mono)): c for mono, c in f.items()}
+    @staticmethod
+    def of(ring: CohomologyRing, perm: Sequence[int]) -> "RingAction":
+        """The action of a permutation known to preserve both ideals, such as
+        a product of checked ones: x_0 x_1 is T[0][1] times the point class
+        and goes to x_{perm[0]} x_{perm[1]}, which is T[perm[0]][perm[1]]
+        times it."""
+        t = ring.product_table
+        return RingAction(tuple(perm), t[perm[0]][perm[1]] / t[0][1])
 
 
 def ring_action(ring: CohomologyRing, perm: Sequence[int]) -> RingAction:
     """Check that permuting variables by perm preserves both ideals and
     return the action with its scalar on degree 4.
 
-    Raises NotASymmetry when a permuted linear form is not again a linear
-    combination of the linear forms (equivalently, nonzero in degree 2).
+    Raises NotASymmetry when a permuted linear relation is not again a
+    combination of the relations (equivalently, nonzero in degree 2).
     """
     m = ring.m
     perm = tuple(perm)
@@ -297,30 +223,28 @@ def ring_action(ring: CohomologyRing, perm: Sequence[int]) -> RingAction:
             raise NotASymmetry(
                 f"permutation sends the adjacent pair ({i},{j}) to the "
                 f"disjoint edges ({perm[i]},{perm[j]})")
-    for f in ring.pres.linear_polys():
-        if not ring.normal_form(permute(f, perm)).is_zero():
+    for row in ring.pres.linear_rows:
+        if any(ring.deg2_class({perm[i]: c for i, c in row.items()})):
             raise NotASymmetry(
                 "permutation does not preserve the linear relations")
-    det01 = ring.product_table[0][1]
-    scalar = ring.product_table[perm[0]][perm[1]] / det01
-    return RingAction(perm, scalar)
+    return RingAction.of(ring, perm)
 
 
 def invariant_deg2(ring: CohomologyRing,
-                   actions: Iterable[RingAction]) -> RatMatrix:
-    """Rows spanning the degree-2 invariants of the given actions in edge
-    coordinates: one 0/1 row per variable orbit, its orbit sum. A group and
-    its generators have the same orbits, so either may be passed."""
-    return RatMatrix.from_rows(
-        ring.edge_rows(orbit_sums(ring.m, [a.perm for a in actions])))
+                   actions: Iterable[RingAction]) -> tuple[Row, ...]:
+    """Rows spanning the degree-2 invariants of the given actions: one 0/1
+    row per variable orbit, its orbit sum. A group and its generators have
+    the same orbits, so either may be passed."""
+    return orbit_sums(ring.m, [a.perm for a in actions])
 
 
 # the averaging-operator name of the same construction, kept for older callers
 reynolds_image = invariant_deg2
 
 
-def orbit_sums(m: int, perms: Sequence[Sequence[int]]) -> tuple[Poly, ...]:
-    """One linear polynomial per variable orbit: the sum of the orbit."""
+def orbit_sums(m: int, perms: Sequence[Sequence[int]]) -> tuple[Row, ...]:
+    """One row per variable orbit: the sum of the orbit's variables."""
+    one = Fraction(1)
     seen: set[int] = set()
     sums = []
     for i in range(m):
@@ -337,5 +261,5 @@ def orbit_sums(m: int, perms: Sequence[Sequence[int]]) -> tuple[Poly, ...]:
                         nxt.append(pi[k])
             frontier = nxt
         seen |= orbit
-        sums.append(linear_poly({k: 1 for k in sorted(orbit)}))
+        sums.append({k: one for k in sorted(orbit)})
     return tuple(sums)

@@ -75,7 +75,3 @@ class UnexpectedBettiNumber(ToricSymError):
 
 class DegeneratePairing(ToricSymError):
     """The degree-2 intersection pairing is singular."""
-
-
-class DegreeTooHigh(ToricSymError):
-    """Polynomial input is not homogeneous of a representable degree."""

@@ -87,12 +87,6 @@ class RatMatrix:
         v = vec(v)
         return tuple(vec_dot(self.row(i), v) for i in range(self.rows))
 
-    def augment(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise ValueError("shape mismatch")
-        return RatMatrix.from_rows(
-            [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)])
-
 
 def rref(a: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form with the fixed pivot rule.
@@ -180,6 +174,9 @@ def kernel_basis(a: RatMatrix) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
-def spans_equal(a: RatMatrix, b: RatMatrix) -> bool:
-    """Whether the column spans of two matrices (same height) coincide."""
-    return rank(a) == rank(b) == rank(a.augment(b))
+def spans_equal(a: Iterable[Sequence | dict[int, object]],
+                b: Iterable[Sequence | dict[int, object]]) -> bool:
+    """Whether two collections of rows, in any form rank takes, span the
+    same row space."""
+    a, b = list(a), list(b)
+    return rank(a) == rank(b) == rank(a + b)

@@ -15,6 +15,12 @@ vector of the induced action, and bijectivity onto the invariants is
 established both by direct rank computations and by the Poincare duality
 shortcut (a graded map of duality algebras that is nonzero on the top degree
 is injective). The two verdicts are compared, never merged.
+
+Every image is a linear form, held as a sparse edge row {edge: Fraction}
+(cohomology.Row), and every check reads those rows directly: degree-2
+classes and ranks through CohomologyRing.deg2_class and deg2_rank, degree-4
+values through the bilinear form CohomologyRing.deg4. Polynomials appear
+only in the text of the witnesses.
 """
 
 from __future__ import annotations
@@ -23,12 +29,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cohomology import (
-    CohomologyRing, Poly, RingAction, cohomology_ring, invariant_deg2,
-    linear_poly, permute, poly, poly_add, poly_mul, poly_str, ring_action,
+    CohomologyRing, RingAction, Row, cohomology_ring, invariant_deg2, poly_str,
+    ring_action,
 )
-from .errors import CaseMismatch, InconsistentGeometry
-from .exactlin import Rat, RatMatrix
-from .geometry import cross, format_rational
+from .exactlin import Rat
+from .geometry import format_rational
 from .symmetry import (
     DihedralCoefficients, FundamentalRegion, dihedral_coefficients,
     fundamental_region,
@@ -39,22 +44,13 @@ from .symmetry import (
 class RingMap:
     """A variable substitution from the region's ring into the polygon's.
 
-    images[i] is the degree-2 target polynomial substituted for the i-th
-    region variable; apply() extends multiplicatively.
+    images[i] is the linear form substituted for the i-th region variable,
+    as a row of its nonzero coefficients on the target's edge variables.
     """
 
     source: CohomologyRing
     target: CohomologyRing
-    images: tuple[Poly, ...]
-
-    def apply(self, f: Poly) -> Poly:
-        out: Poly = {}
-        for mono, coef in f.items():
-            term: Poly = {(): Fraction(coef)}
-            for i in mono:
-                term = poly_mul(term, self.images[i])
-            out = poly_add(out, term)
-        return out
+    images: tuple[Row, ...]
 
 
 def variable_names(fr: FundamentalRegion) -> dict[int, str]:
@@ -75,19 +71,20 @@ def build_dihedral_map(fr: FundamentalRegion,
     the orbit sum weighted by the k-th coefficient table (c, then d)."""
     if coeffs is None:
         coeffs = dihedral_coefficients(fr)
-    images: list[Poly] = [{}] * fr.region.m
+    one = Fraction(1)
+    images: list[Row] = [{}] * fr.region.m
     weights: list[dict[int, Rat]] = [{} for _ in fr.mirror_edges]
     for j, idx in fr.slot_edges.items():
         parent = fr.parent_of[idx]
         orbit = [(u, fr.edge_perms[u.word][parent]) for u in coeffs.sets[j]]
-        images[idx] = linear_poly({k: 1 for _, k in orbit})
+        images[idx] = {k: one for _, k in orbit}
         for terms, table in zip(weights, (coeffs.c, coeffs.d)):
             for u, k in orbit:
                 terms[k] = terms.get(k, Fraction(0)) + table[(u.word, j)]
     for idx in fr.cross_edges:
-        images[idx] = linear_poly({fr.parent_of[idx]: 1})
+        images[idx] = {fr.parent_of[idx]: one}
     for idx, terms in zip(fr.mirror_edges, weights):
-        images[idx] = linear_poly(terms)
+        images[idx] = {k: v for k, v in terms.items() if v}
     return RingMap(cohomology_ring(fr.region), cohomology_ring(fr.polygon),
                    tuple(images))
 
@@ -126,15 +123,21 @@ def check_well_defined(rmap: RingMap,
     """Push every source ideal generator through the map and record its
     class in the target; all must vanish. A quadratic x_i x_j goes to
     deg4(image_i, image_j), the triangle's cubic to degree 6, which is zero,
-    and a linear relation to the normal form of its image."""
+    and a linear relation sum_i c_i x_i to the degree-2 class of
+    sum_i c_i image_i."""
     pres, tgt, images = rmap.source.pres, rmap.target, rmap.images
     one = Fraction(1)
     labeled = [("sr", {(i, j): one}, (tgt.deg4(images[i], images[j]),))
                for i, j in pres.sr_quadratics]
     if pres.sr_cubic is not None:
         labeled.append(("sr", {pres.sr_cubic: one}, ()))
-    labeled += [("linear", g, tgt.normal_form(rmap.apply(g)).coords)
-                for g in pres.linear_polys()]
+    for row in pres.linear_rows:
+        pushed: Row = {}
+        for i, c in row.items():
+            for k, v in images[i].items():
+                pushed[k] = pushed.get(k, 0) + c * v
+        labeled.append(("linear", {(i,): c for i, c in row.items()},
+                        tgt.deg2_class(pushed)))
     ok = all(c == 0 for _, _, coords in labeled for c in coords)
     return CheckResult(ok, tuple(
         f"{label} {poly_str(g, names)} -> {_nf_str(coords)}"
@@ -143,22 +146,25 @@ def check_well_defined(rmap: RingMap,
 
 def group_ring_actions(ring: CohomologyRing, fr: FundamentalRegion,
                        ) -> tuple[tuple[RingAction, ...], tuple[RingAction, ...]]:
-    """(generator actions, full group actions) on the target ring, one
-    ring_action per group element; the generators are the length-1 words."""
+    """(generator actions, full group actions) on the target ring. Only the
+    generators, the length-1 words, go through ring_action's checks: a
+    product of permutations that preserve both ideals preserves them, so
+    every other element's action is read off its permutation."""
     elements = fr.group.elements
-    full = tuple(ring_action(ring, fr.edge_perms[e.word]) for e in elements)
+    full = tuple((ring_action if e.length == 1 else RingAction.of)(
+        ring, fr.edge_perms[e.word]) for e in elements)
     gens = tuple(a for a, e in zip(full, elements) if e.length == 1)
     return gens, full
 
 
-def check_image_invariant(rmap: RingMap, gen_actions, inv_matrix: RatMatrix,
+def check_image_invariant(rmap: RingMap, gen_actions, inv_rows,
                           names: dict[int, str] | None = None,
                           ) -> InvarianceResult:
-    """(a) every generator image is fixed by every generator action: renaming
-    its variables by the action's permutation leaves the polynomial, or else
-    its normal form, as it is; (b) the degree-2 images span exactly the
-    invariant subspace. The rank of inv_matrix is kept in the result for the
-    later checks."""
+    """(a) every generator image is fixed by every generator action: moving
+    its coefficients by the action's permutation leaves the row, or else its
+    degree-2 class, as it is; (b) the degree-2 images span exactly the
+    invariant subspace spanned by inv_rows. The rank of inv_rows is kept in
+    the result for the later checks."""
     tgt = rmap.target
     wit = []
     fixed_ok = True
@@ -166,18 +172,18 @@ def check_image_invariant(rmap: RingMap, gen_actions, inv_matrix: RatMatrix,
         coords = None
         label = (names or {}).get(idx, f"x{idx}")
         for k, act in enumerate(gen_actions, start=1):
-            moved = permute(img, act.perm)
+            moved = {act.perm[i]: c for i, c in img.items()}
             good = moved == img
             if not good:  # e.g. a mirror image, fixed only modulo M_Q
                 if coords is None:
-                    coords = tgt.normal_form(img).coords
-                good = tgt.normal_form(moved).coords == coords
+                    coords = tgt.deg2_class(img)
+                good = tgt.deg2_class(moved) == coords
             fixed_ok = fixed_ok and good
             wit.append(f"image of {label} {'fixed' if good else 'moved'} "
                        f"by generator {k}")
-    image_rows, inv_rows = tgt.edge_rows(rmap.images), inv_matrix.row_list()
-    image_rank, inv_rank = tgt.deg2_rank(image_rows), tgt.deg2_rank(inv_rows)
-    span_ok = image_rank == inv_rank == tgt.deg2_rank(image_rows + inv_rows)
+    images, inv_rows = list(rmap.images), list(inv_rows)
+    image_rank, inv_rank = tgt.deg2_rank(images), tgt.deg2_rank(inv_rows)
+    span_ok = image_rank == inv_rank == tgt.deg2_rank(images + inv_rows)
     wit.append(f"degree-2 image span rank {image_rank}, invariant "
                f"rank {inv_rank}, spans {'match' if span_ok else 'differ'}")
     return InvarianceResult(fixed_ok and span_ok, fixed_ok, span_ok,
@@ -199,7 +205,7 @@ class IsomorphismChecks:
 
 
 def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
-                      inv_matrix: RatMatrix, well: CheckResult,
+                      inv_rows, well: CheckResult,
                       inv: InvarianceResult) -> IsomorphismChecks:
     """Two independent verdicts.
 
@@ -210,14 +216,14 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
     scalar is nonzero, so injectivity follows from duality, and fixed images
     plus equal dimensions give surjectivity onto the invariants.
 
-    The rank of inv_matrix is read from inv, and the determinant of the
-    source pairing from the source ring, where they were computed.
+    The rank of inv_rows is read from inv, and the determinant of the source
+    pairing from the source ring, where they were computed.
     """
     src, tgt = rmap.source, rmap.target
     src2 = len(src.deg2_basis)
-    inv_rows = inv_matrix.row_list()
+    inv_rows = list(inv_rows)
     inv2 = tgt.deg2_rank(inv_rows) if inv.inv_rank is None else inv.inv_rank
-    rows = tgt.edge_rows(rmap.images[b] for b in src.deg2_basis)
+    rows = [rmap.images[b] for b in src.deg2_basis]
     mat_rank = tgt.deg2_rank(rows)
     inj2 = mat_rank == src2
     spans = mat_rank == inv2 == tgt.deg2_rank(rows + inv_rows)
@@ -254,102 +260,6 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
     )
     return IsomorphismChecks(inj2, spans, scalar, mult, orient, pd_ok,
                              dims, direct, shortcut, wit)
-
-
-# ---------------------------------------------------------------------------
-# replayed in-proof identities
-
-
-def invariance_combination(fr: FundamentalRegion, rmap: RingMap,
-                           generator: int = 1) -> Poly:
-    """The linear combination underlying the invariance argument.
-
-    Pick the dual vector of the chosen mirror normal with respect to a basis
-    completed by a direction the group cannot move (a crossed-edge normal,
-    the sum of a slot normal with its reflection, or the other wedge
-    normal), and weight each slot image by its pairing with that dual
-    vector; adding the mirror image yields the push-through of a source
-    linear relation, so its class in the target must vanish.
-    """
-    p = fr.polygon
-    if len(fr.etas) == 1:
-        if generator != 1:
-            raise CaseMismatch("a single mirror has only generator 1")
-        eta = fr.etas[0]
-        if fr.cross_edges:
-            second = p.edges[fr.parent_of[fr.cross_edges[0]]].normal
-        else:
-            perm = fr.edge_perms[(1,)]
-            second = None
-            for j in fr.slots:
-                parent = fr.parent_of[fr.slot_edges[j]]
-                lam = p.edges[parent].normal
-                mirrored = p.edges[perm[parent]].normal
-                s = (lam[0] + mirrored[0], lam[1] + mirrored[1])
-                if s != (0, 0):
-                    second = s
-                    break
-            if second is None:
-                raise InconsistentGeometry(
-                    "every slot normal cancels its reflection")
-        mirror_idx = fr.mirror_edges[0]
-    else:
-        if generator not in (1, 2):
-            raise CaseMismatch("generator must be 1 or 2")
-        eta = fr.etas[generator - 1]
-        second = fr.etas[2 - generator]
-        mirror_idx = fr.mirror_edges[generator - 1]
-    det = cross(eta, second)
-    dual = (second[1] / det, -second[0] / det)
-    # crossed-edge normals pair to zero with the dual vector, so their
-    # images contribute nothing and are omitted
-    for idx in fr.cross_edges:
-        lam = p.edges[fr.parent_of[idx]].normal
-        if dual[0] * lam[0] + dual[1] * lam[1] != 0:
-            raise InconsistentGeometry(
-                "dual vector does not annihilate a crossed normal")
-    out = dict(rmap.images[mirror_idx])
-    for j in fr.slots:
-        lam = p.edges[fr.parent_of[fr.slot_edges[j]]].normal
-        weight = dual[0] * lam[0] + dual[1] * lam[1]
-        out = poly_add(out, {k: weight * v
-                             for k, v in rmap.images[fr.slot_edges[j]].items()})
-    return out
-
-
-def sr_only_reduce(pres, f: Poly) -> Poly:
-    """Drop every monomial containing a nonadjacent pair (or the whole
-    triangle product), touching no linear relation."""
-    quads = set(pres.sr_quadratics)
-    out: Poly = {}
-    for mono, coef in f.items():
-        support = sorted(set(mono))
-        dead = any((support[a], support[b]) in quads
-                   for a in range(len(support))
-                   for b in range(a + 1, len(support)))
-        if not dead and pres.sr_cubic is not None:
-            dead = set(pres.sr_cubic) <= set(support)
-        if not dead:
-            out[mono] = coef
-    return out
-
-
-def triangle_identity_term(fr: FundamentalRegion, rmap: RingMap) -> Poly:
-    """For a wedge whose region is a triangle (one slot edge between the two
-    mirrors), the product of the slot's parent variable with both mirror
-    images, reduced modulo nonadjacency alone. The vanishing coefficients at
-    short words make this the zero polynomial before any linear relation is
-    used."""
-    if fr.kind != "2-3" or len(fr.slots) != 1:
-        raise CaseMismatch(
-            "triangle product replay needs a vertex-vertex wedge with "
-            "exactly one slot edge")
-    j = fr.slots[0]
-    parent = fr.parent_of[fr.slot_edges[j]]
-    prod = poly_mul(poly({(parent,): 1}),
-                    poly_mul(rmap.images[fr.mirror_edges[0]],
-                             rmap.images[fr.mirror_edges[1]]))
-    return sr_only_reduce(rmap.target.pres, prod)
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +326,16 @@ def verify_theorem(p, group, chamber_hint=None) -> VerificationReport:
     names = variable_names(fr)
     well = check_well_defined(rmap, names)
     gen_actions, all_actions = group_ring_actions(rmap.target, fr)
-    inv_matrix = invariant_deg2(rmap.target, gen_actions)
-    inv = check_image_invariant(rmap, gen_actions, inv_matrix, names)
+    inv_rows = invariant_deg2(rmap.target, gen_actions)
+    inv = check_image_invariant(rmap, gen_actions, inv_rows, names)
     # 0 -> M_Q -> Q^E -> H^2 -> 0 is W-equivariant, so dim (H^2)^W is #orbits
     # less dim M_Q^W: 1 (the mirror line) for one mirror, 0 for a wedge
-    if inv.inv_rank != inv_matrix.rows - (1 if single else 0):
+    if inv.inv_rank != len(inv_rows) - (1 if single else 0):
         inv = replace(
             inv, ok=False, span_ok=False,
             witnesses=inv.witnesses + ("invariant rank is not the number of "
                                        "edge orbits minus dim M^W",))
-    checks = check_isomorphism(rmap, gen_actions, all_actions, inv_matrix,
+    checks = check_isomorphism(rmap, gen_actions, all_actions, inv_rows,
                                well, inv)
     warnings = fr.warnings
     if not coeffs.integral:

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from toricsym.catalog import builtin, corpus, house_pentagon, ninegon
-from toricsym.cohomology import cohomology_ring, invariant_deg2, poly
+from test_theorem import invariance_combination, triangle_identity_term
+
+from toricsym.cohomology import cohomology_ring, invariant_deg2
 from toricsym.errors import NotASymmetry
 from toricsym.rootsystems import (
     dominant_point, golden_table, root_system, weight_polytope,
@@ -20,8 +22,7 @@ from toricsym.symmetry import (
 )
 from toricsym.theorem import (
     build_dihedral_map, check_image_invariant, check_well_defined,
-    group_ring_actions, invariance_combination, triangle_identity_term,
-    variable_names, verify_theorem,
+    group_ring_actions, variable_names, verify_theorem,
 )
 
 F = Fraction
@@ -245,14 +246,14 @@ def test_criterion_6_negative_controls():
 def test_criterion_7_cancellation_replays():
     """Three identities behind the proofs, replayed mechanically."""
     # (a) single mirror: the dual-vector combination of mirror and slot
-    # images is a linear relation of the target, normal form zero
+    # images is a linear relation of the target, degree-2 class zero
     p = builtin("square")
     fr = fundamental_region(p, detect_reflections(p)[1])
     assert fr.kind == "1-1"
     rmap = build_dihedral_map(fr)
     comb = invariance_combination(fr, rmap)
-    assert comb == poly({(1,): F(1), (3,): F(-1)})
-    assert cohomology_ring(p).normal_form(comb).is_zero()
+    assert comb == {1: F(1), 3: F(-1)}
+    assert not any(cohomology_ring(p).deg2_class(comb))
 
     # (b) vertex-vertex wedge: image of the cubic monomial dies, and the
     # sharper statement that one orbit representative of the triple product
@@ -264,10 +265,11 @@ def test_criterion_7_cancellation_replays():
     rmap = build_dihedral_map(fr)
     slot_idx = fr.slot_edges[2]
     m1, m2 = fr.mirror_edges
-    cubic = poly({tuple(sorted((slot_idx, m1, m2))): F(1)})
-    assert rmap.source.normal_form(cubic).is_zero()
-    pushed = rmap.apply(cubic)
-    assert rmap.target.normal_form(pushed).is_zero()
+    # the cubic is the source triangle's relation, and its image, of degree
+    # 6, is zero in the target
+    cubic = tuple(sorted((slot_idx, m1, m2)))
+    assert rmap.source.pres.sr_cubic == cubic
+    assert "sr x0*x1*x2 -> 0" in check_well_defined(rmap).witnesses
     assert triangle_identity_term(fr, rmap) == {}
 
     # (c) coefficient vanishing on every dihedral instance: identity row in

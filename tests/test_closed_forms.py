@@ -12,9 +12,10 @@ sums are compared with the kernel of the stacked (rho - 1) blocks, and the
 pairing continuant with sympy's determinant. On every fold, each degree-2
 rank taken in edge coordinates (CohomologyRing.deg2_rank) is compared with
 the rank of the same forms in deg2_basis coordinates, and each degree-4
-value of the bilinear form (CohomologyRing.deg4) with the normal form of the
-polynomial product. The table built on integer determinants is compared
-with the same closed form evaluated on Fractions.
+value of the bilinear form (CohomologyRing.deg4), which walks three table
+neighbours, with the dense double sum over the whole table. The table built
+on integer determinants is compared with the same closed form evaluated on
+Fractions, and every row the library builds holds nonzero Fractions only.
 """
 
 import importlib.util
@@ -25,16 +26,11 @@ from pathlib import Path
 
 import sympy
 
-from test_cohomology import (
-    deg2_columns, kernel_invariants, row_classes, sympy_det,
-)
+from test_cohomology import deg2_rows, kernel_invariants, permuted, sympy_det
 from test_symmetry import _all_fold_shapes
 
 from toricsym.catalog import corpus
-from toricsym.cohomology import (
-    cohomology_ring, invariant_deg2, linear_poly, orbit_sums, permute,
-    poly_mul,
-)
+from toricsym.cohomology import cohomology_ring, invariant_deg2, orbit_sums
 from toricsym.exactlin import RatMatrix, kernel_basis, rank, rref, spans_equal
 from toricsym.geometry import cross, polygon_from_vertices, primitive
 from toricsym.symmetry import (
@@ -89,7 +85,8 @@ def eliminated_deg2_nf(ring, i):
     """The class of x_i as the echelon form of the linear relations gives
     it: a unit vector on a free variable, the negated echelon row on a
     pivot."""
-    red, pivots = rref(ring.pres.linear_rows)
+    red, pivots = rref(RatMatrix.from_rows(
+        [[r.get(j, 0) for j in range(ring.m)] for r in ring.pres.linear_rows]))
     assert pivots == (0, 1)
     if i in pivots:
         return tuple(-red[pivots.index(i), b] for b in ring.deg2_basis)
@@ -103,7 +100,8 @@ def test_deg2_classes_match_the_echelon_form():
         ring = cohomology_ring(p)
         assert ring.deg2_basis == tuple(range(2, p.m))
         for i in range(p.m):
-            assert ring.deg2_nf(i) == eliminated_deg2_nf(ring, i), (p, i)
+            assert (ring.deg2_class({i: Fraction(1)})
+                    == eliminated_deg2_nf(ring, i)), (p, i)
 
 
 def test_coefficient_pairs_match_sympy():
@@ -140,7 +138,7 @@ def test_reflection_normal_matches_the_kernel():
 
 def test_orbit_sum_invariants_match_the_kernel_on_generated_folds():
     """dim (H^2)^W = #orbits - dim M^W, and each orbit sum is fixed by each
-    generator as a polynomial, not only as a class."""
+    generator as a row, not only as a class."""
     for p, g in GENERATED:
         fr = fundamental_region(p, g)
         ring = cohomology_ring(p)
@@ -148,18 +146,18 @@ def test_orbit_sum_invariants_match_the_kernel_on_generated_folds():
         oracle = kernel_invariants(ring, gens)
         inv = invariant_deg2(ring, gens)
         single = len(fr.etas) == 1
-        assert spans_equal(oracle, row_classes(ring, inv)), fr.kind
-        assert (oracle.cols == ring.deg2_rank(inv.row_list())
-                == fr.region.m - 2 == inv.rows - (1 if single else 0)), fr.kind
+        assert spans_equal(oracle, deg2_rows(ring, inv)), fr.kind
+        assert (len(oracle) == ring.deg2_rank(inv)
+                == fr.region.m - 2 == len(inv) - (1 if single else 0)), fr.kind
         for s in orbit_sums(ring.m, [a.perm for a in gens]):
-            assert all(permute(s, a.perm) == s for a in gens), fr.kind
+            assert all(permuted(s, a.perm) == s for a in gens), fr.kind
 
 
 def test_edge_coordinate_ranks_match_the_deg2_basis_route():
-    """deg2_rank(edge_rows(F)) is the rank of the normal-form columns of F
-    for the forms that verify_theorem ranks: the map images, the images of
-    the source basis, the orbit sums and their unions; the two linear
-    relations of either ring give 0."""
+    """deg2_rank(F) is the rank of the deg2_basis coordinates of F for the
+    forms that verify_theorem ranks: the map images, the images of the
+    source basis, the orbit sums and their unions; the two linear relations
+    of either ring give 0."""
     for p, g in FOLDS:
         fr = fundamental_region(p, g)
         rmap = build_dihedral_map(fr)
@@ -170,10 +168,10 @@ def test_edge_coordinate_ranks_match_the_deg2_basis_route():
         orbits = list(orbit_sums(ring.m, [a.perm for a in gens]))
         for forms in (images, basis_images, orbits, images + orbits,
                       basis_images + orbits):
-            assert (ring.deg2_rank(ring.edge_rows(forms))
-                    == rank(deg2_columns(ring, forms))), fr.kind
+            assert (ring.deg2_rank(forms)
+                    == rank(deg2_rows(ring, forms))), fr.kind
         for r in (ring, rmap.source):
-            assert r.deg2_rank(r.edge_rows(r.pres.linear_polys())) == 0
+            assert r.deg2_rank(r.pres.linear_rows) == 0
 
 
 def test_pairing_continuant_on_generated_folds():
@@ -183,18 +181,23 @@ def test_pairing_continuant_on_generated_folds():
             assert ring.pairing_det == sympy_det(ring.pairing) != 0
 
 
-def test_deg4_is_the_normal_form_of_the_product():
-    """deg4(v, w) is the point-class coordinate of normal_form(v * w): for
-    every pair of map images on every fold, and for every pair of variables
-    x_i, x_j of every corpus ring and of both rings of every fold."""
+def test_deg4_is_the_dense_bilinear_form():
+    """deg4(v, w), which walks three table neighbours per term, is the dense
+    double sum of v_i w_j T[i][j] over the whole table: for every pair of
+    map images on every fold, and for every pair of variables x_i, x_j of
+    every corpus ring and of both rings of every fold."""
     def agree(ring, forms):
+        t, m = ring.product_table, ring.m
         for v in forms:
+            dv = [v.get(i, 0) for i in range(m)]
             for w in forms:
-                want = ring.normal_form(poly_mul(v, w)).coords[0]
+                dw = [w.get(j, 0) for j in range(m)]
+                want = sum(dv[i] * dw[j] * t[i][j]
+                           for i in range(m) for j in range(m))
                 assert ring.deg4(v, w) == want, (ring.m, v, w)
 
     def variables(ring):
-        return [linear_poly({i: 1}) for i in range(ring.m)]
+        return [{i: Fraction(1)} for i in range(ring.m)]
 
     for p in corpus().values():
         ring = cohomology_ring(p)
@@ -222,10 +225,25 @@ def test_integer_determinant_table_is_the_fraction_table():
             table[i][j] = table[j][i] = 1 / abs(det[i])
             table[i][i] = -cross(n[i - 1], n[j]) / (det[i - 1] * det[i])
         assert ring.product_table == tuple(map(tuple, table)), p
-        assert ring.deg2_nf(0) == tuple(
-            -cross(n[b], n[1]) / det[0] for b in ring.deg2_basis)
-        assert ring.deg2_nf(1) == tuple(
-            -cross(n[0], n[b]) / det[0] for b in ring.deg2_basis)
+        x0, x1 = (ring.deg2_class({i: Fraction(1)}) for i in (0, 1))
+        assert x0 == tuple(-cross(n[b], n[1]) / det[0] for b in ring.deg2_basis)
+        assert x1 == tuple(-cross(n[0], n[b]) / det[0] for b in ring.deg2_basis)
         values = [x for row in ring.product_table for x in row]
-        values += ring.deg2_nf(0) + ring.deg2_nf(1)
+        values += x0 + x1
         assert all(type(x) is Fraction for x in values), p
+
+
+def test_every_library_row_holds_nonzero_fractions():
+    """Map images, orbit sums of the generators and of the whole group, and
+    the relation rows of both rings hold only nonzero Fraction values, on
+    every corpus fold and on a generated polygon of each fold shape."""
+    for p, g in corpus_folds() + GENERATED:
+        fr = fundamental_region(p, g)
+        rmap = build_dihedral_map(fr)
+        gens, full = group_ring_actions(rmap.target, fr)
+        rows = [*rmap.images, *invariant_deg2(rmap.target, gens),
+                *invariant_deg2(rmap.target, full),
+                *rmap.target.pres.linear_rows, *rmap.source.pres.linear_rows]
+        for row in rows:
+            assert all(type(x) is Fraction and x for x in row.values()), (
+                fr.kind, row)

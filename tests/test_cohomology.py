@@ -1,4 +1,5 @@
-"""Quotient-ring structure: Betti numbers, normal forms, products, pairing.
+"""Quotient-ring structure: Betti numbers, degree-2 classes, products,
+pairing.
 
 Dual route for the ring structure: the package reads degree-4 products off
 the closed-form intersection table of the normal fan (Fulton, Introduction to
@@ -18,16 +19,17 @@ import sympy
 
 from toricsym.catalog import corpus, hexagon, house_pentagon, square
 from toricsym.cohomology import (
-    cohomology_ring, invariant_deg2, linear_poly, orbit_sums, permute, poly,
-    presentation, reynolds_image, ring_action,
+    cohomology_ring, invariant_deg2, orbit_sums, presentation, reynolds_image,
+    ring_action,
 )
-from toricsym.errors import DegreeTooHigh, NotASymmetry
+from toricsym.errors import NotASymmetry
 from toricsym.exactlin import RatMatrix, kernel_basis, rank, spans_equal
 from toricsym.geometry import cross, polygon_from_vertices
 from toricsym.symmetry import (
     detect_reflections, dihedral_group, edge_permutation, fundamental_region,
     maximal_dihedral,
 )
+from toricsym.theorem import build_dihedral_map, check_well_defined
 
 F = Fraction
 
@@ -66,8 +68,8 @@ def test_square_presentation():
     assert p.normals() == ((0, -1), (1, 0), (0, 1), (-1, 0))
     assert pres.sr_quadratics == ((0, 2), (1, 3))
     assert pres.sr_cubic is None
-    assert pres.linear_rows == RatMatrix.from_rows(
-        [[0, 1, 0, -1], [-1, 0, 1, 0]])
+    # the rows [0, 1, 0, -1] and [-1, 0, 1, 0], nonzero entries only
+    assert pres.linear_rows == ({1: 1, 3: -1}, {0: -1, 2: 1})
 
 
 def test_triangle_presentation_uses_the_cubic():
@@ -82,12 +84,12 @@ def test_square_ring_structure():
     assert ring.betti == (1, 2, 1)
     assert ring.deg2_basis == (2, 3)
     # opposite edges are identified by the linear relations
-    assert ring.deg2_nf(0) == (1, 0)
-    assert ring.deg2_nf(1) == (0, 1)
+    assert ring.deg2_class({0: F(1)}) == (1, 0)
+    assert ring.deg2_class({1: F(1)}) == (0, 1)
     # disjoint edges multiply to zero, adjacent ones to the point class
-    assert ring.normal_form(poly({(0, 2): 1})).is_zero()
-    assert ring.normal_form(poly({(2, 2): 1})).is_zero()
-    assert ring.normal_form(poly({(0, 1): 1})).coords == (F(1),)
+    assert ring.deg4({0: F(1)}, {2: F(1)}) == 0
+    assert ring.deg4({2: F(1)}, {2: F(1)}) == 0
+    assert ring.deg4({0: F(1)}, {1: F(1)}) == F(1)
     assert ring.pairing == RatMatrix.from_rows([[0, 1], [1, 0]])
 
 
@@ -112,30 +114,38 @@ def test_linear_relations_annihilate_the_table():
         rows = ring.pres.linear_rows
         for i in range(p.m):
             for r in (0, 1):
-                total = sum(rows[r, j] * ring.product_table[i][j]
-                            for j in range(p.m))
+                total = sum(c * ring.product_table[i][j]
+                            for j, c in rows[r].items())
                 assert total == 0, (name, i, r)
 
 
 def test_edge_rows_and_deg2_rank():
     ring = cohomology_ring(square())
-    f = linear_poly({0: 2, 3: -1})
-    assert ring.edge_rows([{}, f]) == [(0, 0, 0, 0), (2, 0, 0, -1)]
+    f = {0: F(2), 3: F(-1)}
+    # a sparse row ranks as its dense row; the empty form is the zero row
+    assert ring.deg2_rank([{}, f]) == ring.deg2_rank(
+        [(0, 0, 0, 0), (2, 0, 0, -1)]) == 1
     # x0 = x2 and x1 = x3 in H^2, which has dimension 2
-    assert ring.deg2_rank([]) == ring.deg2_rank(ring.edge_rows([{}])) == 0
+    assert ring.deg2_rank([]) == ring.deg2_rank([{}]) == 0
+    assert ring.deg2_rank([{0: 1, 2: -1}, {1: 1, 3: -1}]) == 0
     assert ring.deg2_rank([(1, 0, -1, 0), (0, 1, 0, -1)]) == 0
     assert ring.deg2_rank([(1, 0, 0, 0), (0, 0, 1, 0)]) == 1
-    assert ring.deg2_rank(ring.edge_rows(
-        linear_poly({i: 1}) for i in range(4))) == 2
+    assert ring.deg2_rank([{i: F(1)} for i in range(4)]) == 2
 
 
 def test_degree_routing():
+    # degree 2 is read by deg2_class, degree 4 by deg4, and degree 6 is zero
     ring = cohomology_ring(square())
-    assert ring.normal_form(poly({(0, 1, 2): 1})).degree == 6
-    assert ring.normal_form(poly({(0, 1, 2): 1})).is_zero()
-    assert ring.normal_form({}).is_zero()
-    with pytest.raises(DegreeTooHigh):
-        ring.normal_form(poly({(0,): 1, (0, 1): 1}))
+    assert ring.deg2_class({}) == (0, 0)
+    assert ring.deg4({}, {0: F(1)}) == 0
+    # the quarter-square wedge is a triangle: its cubic x0*x1*x2 maps to
+    # degree 6, where the target ring is zero
+    p = square()
+    refs = detect_reflections(p)
+    fr = fundamental_region(p, dihedral_group(refs[0], refs[2]))
+    rmap = build_dihedral_map(fr)
+    assert rmap.source.pres.sr_cubic == (0, 1, 2)
+    assert "sr x0*x1*x2 -> 0" in check_well_defined(rmap).witnesses
 
 
 # --- independent oracle ------------------------------------------------------
@@ -249,8 +259,8 @@ def test_ring_action_square_mirror():
     act = ring_action(ring, edge_permutation(p, refl.matrix))
     # bottom <-> top is invisible in the quotient (they are identified)
     for i in range(p.m):
-        x = linear_poly({i: 1})
-        assert ring.normal_form(permute(x, act.perm)) == ring.normal_form(x)
+        assert (ring.deg2_class({act.perm[i]: F(1)})
+                == ring.deg2_class({i: F(1)}))
     assert act.deg4_scalar == 1
 
 
@@ -310,12 +320,10 @@ def test_ring_action_is_a_representation():
             ab = by_matrix[a.matrix @ b.matrix]
             for i in range(p.m):
                 # act by b, reduce to the degree-2 basis, then act by a
-                moved = ring.normal_form(
-                    permute(linear_poly({i: 1}), acts[b.word].perm))
-                lifted = linear_poly(dict(zip(ring.deg2_basis, moved.coords)))
-                left = ring.normal_form(permute(lifted, acts[a.word].perm))
-                assert left == ring.normal_form(
-                    permute(linear_poly({i: 1}), acts[ab.word].perm))
+                moved = ring.deg2_class({acts[b.word].perm[i]: F(1)})
+                lifted = {k: c for k, c in zip(ring.deg2_basis, moved) if c}
+                left = ring.deg2_class(permuted(lifted, acts[a.word].perm))
+                assert left == ring.deg2_class({acts[ab.word].perm[i]: F(1)})
             composed = tuple(acts[a.word].perm[acts[b.word].perm[i]]
                              for i in range(p.m))
             assert composed == acts[ab.word].perm
@@ -323,34 +331,30 @@ def test_ring_action_is_a_representation():
                 acts[a.word].deg4_scalar * acts[b.word].deg4_scalar)
 
 
+def permuted(row, perm):
+    """The row of a linear form after x_i is renamed x_{perm[i]}."""
+    return {perm[i]: c for i, c in row.items()}
+
+
 def kernel_invariants(ring, actions):
-    """Columns of a basis of the degree-2 invariants by elimination: the
-    kernel of the stacked (rho - 1) blocks, where rho sends the basis class
-    x_b to the class of x_{perm[b]}."""
+    """A basis of the degree-2 invariants in deg2_basis coordinates, one
+    vector per row, by elimination: the kernel of the stacked (rho - 1)
+    blocks, where rho sends the basis class x_b to the class of
+    x_{perm[b]}."""
     basis = ring.deg2_basis
     rows = []
     for a in actions:
-        cols = [ring.deg2_nf(a.perm[b]) for b in basis]
+        cols = [ring.deg2_class({a.perm[b]: F(1)}) for b in basis]
         rows += [[col[r] - (1 if c == r else 0)
                   for c, col in enumerate(cols)] for r in range(len(basis))]
-    kb = kernel_basis(RatMatrix.from_rows(rows))
-    return RatMatrix.from_rows([[v[r] for v in kb] for r in range(len(basis))])
+    return kernel_basis(RatMatrix.from_rows(rows))
 
 
-def deg2_columns(ring, forms):
-    """Columns of the deg2_basis coordinates of linear forms, each reduced by
-    normal_form; the empty form is the zero column. This is the coordinate
-    route that ranks were taken on before edge coordinates."""
-    dim = len(ring.deg2_basis)
-    cols = [ring.normal_form(f).coords if f else (F(0),) * dim for f in forms]
-    return RatMatrix.from_rows([[c[r] for c in cols] for r in range(dim)])
-
-
-def row_classes(ring, mat):
-    """deg2_columns of the linear forms whose edge coordinates are the rows
-    of mat."""
-    return deg2_columns(ring, [linear_poly(dict(enumerate(r)))
-                               for r in mat.row_list()])
+def deg2_rows(ring, forms):
+    """The deg2_basis coordinates of linear forms, one row per form; the
+    empty form is the zero row. This is the coordinate route that ranks were
+    taken on before edge coordinates."""
+    return [ring.deg2_class(f) for f in forms]
 
 
 def test_invariants_square_full_group():
@@ -372,10 +376,10 @@ def test_invariants_square_full_group():
             inv = invariant_deg2(ring, gens)
             region = fundamental_region(p, g)
             shapes.add(region.kind)
-            assert spans_equal(oracle, row_classes(ring, inv)), name
-            assert spans_equal(row_classes(ring, inv), row_classes(
+            assert spans_equal(oracle, deg2_rows(ring, inv)), name
+            assert spans_equal(deg2_rows(ring, inv), deg2_rows(
                 ring, reynolds_image(ring, acts))), name
-            assert (oracle.cols == ring.deg2_rank(inv.row_list())
+            assert (len(oracle) == ring.deg2_rank(inv)
                     == region.region.m - 2), name
     assert shapes == {"1-1", "1-2", "1-3", "2-1", "2-2", "2-3"}
 
@@ -396,7 +400,7 @@ def test_invariant_dims_match_region_edge_counts():
                 for r in (g.s1, g.s2)]
         kern = invariant_deg2(ring, gens)
         fr = fundamental_region(p, g)
-        assert kern.rows == fr.region.m - 2
+        assert len(kern) == fr.region.m - 2
 
 
 def test_orbit_sums_partition():
@@ -409,4 +413,4 @@ def test_orbit_sums_partition():
     for s in sums:
         for k, v in s.items():
             combined[k] = combined.get(k, 0) + v
-    assert combined == {(i,): 1 for i in range(p.m)}
+    assert combined == {i: 1 for i in range(p.m)}

@@ -61,7 +61,9 @@ def test_matmul_and_identity():
 def test_spans_and_membership():
     a = M([[1, 0], [0, 1], [1, 1]])
     b = M([[1, 1], [1, -1], [2, 0]])
-    assert spans_equal(a, b)
+    assert spans_equal(a.row_list(), b.row_list())
+    assert spans_equal(a.transpose().row_list(), b.transpose().row_list())
+    assert not spans_equal([[1, 0]], [{1: 1}])
 
 
 small_fractions = st.fractions(
@@ -133,11 +135,15 @@ def structured_matrices(draw):
 @given(structured_matrices())
 def test_sparse_rank_matches_sympy_in_every_row_form(a):
     """rank takes a RatMatrix, dense rows or {column: value} rows alike, and
-    agrees with sympy's Matrix.rank() on each."""
-    want = sympy.Matrix(a.row_list()).rank()
+    agrees with sympy's Matrix.rank() on each; spans_equal finds that the
+    rows span the row space of sympy's reduced echelon form."""
+    smat = sympy.Matrix(a.row_list())
+    want = smat.rank()
     dict_rows = [{j: x for j, x in enumerate(r) if x} for r in a.row_list()]
     assert rank(a) == rank(a.row_list()) == rank(dict_rows) == want
     assert rank(a.transpose()) == want
+    echelon = [[F(x.p, x.q) for x in row] for row in smat.rref()[0].tolist()]
+    assert spans_equal(dict_rows, echelon[:want])
 
 
 def test_sparse_rank_degenerate_inputs():

@@ -1,23 +1,25 @@
 """Ring maps into the symmetric polygon's cohomology and the isomorphism
 certification: well-definedness, invariance of the image, graded dimension
-counts, the duality shortcut, and the replayed cancellation identities."""
+counts, the duality shortcut, and the replayed cancellation identities.
+
+The identities behind the paper's proofs (the invariance combination and
+the triangle product) are replayed here on the map's edge rows, as oracles
+independent of the checks that verify_theorem runs."""
 
 from fractions import Fraction
 
 import pytest
 
 from toricsym.catalog import builtin, house_pentagon, ninegon
-from toricsym.cohomology import cohomology_ring, poly
-from toricsym.errors import CaseMismatch, NotASymmetry
+from toricsym.cohomology import cohomology_ring
+from toricsym.errors import CaseMismatch, InconsistentGeometry, NotASymmetry
 from toricsym.exactlin import RatMatrix
+from toricsym.geometry import cross
 from toricsym.symmetry import (
     detect_reflections, dihedral_coefficients, dihedral_group,
     fundamental_region,
 )
-from toricsym.theorem import (
-    build_dihedral_map, invariance_combination, sr_only_reduce,
-    triangle_identity_term, variable_names, verify_theorem,
-)
+from toricsym.theorem import build_dihedral_map, variable_names, verify_theorem
 
 F = Fraction
 
@@ -32,7 +34,105 @@ def pair_group(name, i, j):
 
 
 def lin(d):
-    return poly({(i,): F(c) for i, c in d.items()})
+    return {i: F(c) for i, c in d.items() if c}
+
+
+# -- the proof identities, replayed on edge rows ------------------------------
+
+
+def invariance_combination(fr, rmap, generator=1):
+    """The linear combination underlying the invariance argument.
+
+    Pick the dual vector of the chosen mirror normal with respect to a basis
+    completed by a direction the group cannot move (a crossed-edge normal,
+    the sum of a slot normal with its reflection, or the other wedge
+    normal), and weight each slot image by its pairing with that dual
+    vector; adding the mirror image yields the push-through of a source
+    linear relation, so its class in the target must vanish.
+    """
+    p = fr.polygon
+    if len(fr.etas) == 1:
+        if generator != 1:
+            raise CaseMismatch("a single mirror has only generator 1")
+        eta = fr.etas[0]
+        if fr.cross_edges:
+            second = p.edges[fr.parent_of[fr.cross_edges[0]]].normal
+        else:
+            perm = fr.edge_perms[(1,)]
+            second = None
+            for j in fr.slots:
+                parent = fr.parent_of[fr.slot_edges[j]]
+                lam = p.edges[parent].normal
+                mirrored = p.edges[perm[parent]].normal
+                s = (lam[0] + mirrored[0], lam[1] + mirrored[1])
+                if s != (0, 0):
+                    second = s
+                    break
+            if second is None:
+                raise InconsistentGeometry(
+                    "every slot normal cancels its reflection")
+        mirror_idx = fr.mirror_edges[0]
+    else:
+        if generator not in (1, 2):
+            raise CaseMismatch("generator must be 1 or 2")
+        eta = fr.etas[generator - 1]
+        second = fr.etas[2 - generator]
+        mirror_idx = fr.mirror_edges[generator - 1]
+    det = cross(eta, second)
+    dual = (second[1] / det, -second[0] / det)
+    # crossed-edge normals pair to zero with the dual vector, so their
+    # images contribute nothing and are omitted
+    for idx in fr.cross_edges:
+        lam = p.edges[fr.parent_of[idx]].normal
+        if dual[0] * lam[0] + dual[1] * lam[1] != 0:
+            raise InconsistentGeometry(
+                "dual vector does not annihilate a crossed normal")
+    out = dict(rmap.images[mirror_idx])
+    for j in fr.slots:
+        lam = p.edges[fr.parent_of[fr.slot_edges[j]]].normal
+        weight = dual[0] * lam[0] + dual[1] * lam[1]
+        for k, v in rmap.images[fr.slot_edges[j]].items():
+            out[k] = out.get(k, 0) + weight * v
+    return {k: v for k, v in out.items() if v}
+
+
+def sr_only_reduce(pres, f):
+    """Drop every monomial of f ({sorted variable tuple: coefficient})
+    containing a nonadjacent pair (or the whole triangle product), touching
+    no linear relation."""
+    quads = set(pres.sr_quadratics)
+    out = {}
+    for mono, coef in f.items():
+        support = sorted(set(mono))
+        dead = any((support[a], support[b]) in quads
+                   for a in range(len(support))
+                   for b in range(a + 1, len(support)))
+        if not dead and pres.sr_cubic is not None:
+            dead = set(pres.sr_cubic) <= set(support)
+        if not dead:
+            out[mono] = coef
+    return out
+
+
+def triangle_identity_term(fr, rmap):
+    """For a wedge whose region is a triangle (one slot edge between the two
+    mirrors), the product of the slot's parent variable with both mirror
+    images, reduced modulo nonadjacency alone. The vanishing coefficients at
+    short words make this the zero polynomial before any linear relation is
+    used."""
+    if fr.kind != "2-3" or len(fr.slots) != 1:
+        raise CaseMismatch(
+            "triangle product replay needs a vertex-vertex wedge with "
+            "exactly one slot edge")
+    parent = fr.parent_of[fr.slot_edges[fr.slots[0]]]
+    first, second = (rmap.images[idx] for idx in fr.mirror_edges)
+    prod = {}
+    for a, va in first.items():
+        for b, vb in second.items():
+            mono = tuple(sorted((parent, a, b)))
+            prod[mono] = prod.get(mono, 0) + va * vb
+    prod = {mono: c for mono, c in prod.items() if c}
+    return sr_only_reduce(rmap.target.pres, prod)
 
 
 # -- map construction, single mirror ----------------------------------------
@@ -156,13 +256,13 @@ def _polygon(name):
 
 def test_single_mirror_combination_vanishes():
     """The dual-vector weighted sum of mirror and slot images is a linear
-    relation of the target, so its normal form is zero."""
+    relation of the target, so its degree-2 class is zero."""
     for name, k in SINGLE_INSTANCES:
         p = _polygon(name)
         fr = fundamental_region(p, detect_reflections(p)[k])
         rmap = build_dihedral_map(fr)
         comb = invariance_combination(fr, rmap)
-        assert cohomology_ring(p).normal_form(comb).is_zero(), (name, k)
+        assert not any(cohomology_ring(p).deg2_class(comb)), (name, k)
 
 
 def test_square_axis_combination_is_x1_minus_x3():
@@ -181,7 +281,7 @@ def test_dihedral_combination_vanishes_for_both_generators():
         ring = cohomology_ring(p)
         for gen in (1, 2):
             comb = invariance_combination(fr, rmap, generator=gen)
-            assert ring.normal_form(comb).is_zero(), (name, i, j, gen)
+            assert not any(ring.deg2_class(comb)), (name, i, j, gen)
 
 
 def test_triangle_identity_is_zero_polynomial():
@@ -207,8 +307,8 @@ def test_triangle_identity_requires_single_slot_wedge():
 def test_sr_only_reduce_drops_nonadjacent_monomials():
     p = builtin("square")
     pres = cohomology_ring(p).pres
-    f = poly({(0, 2): F(5), (0, 1): F(3)})  # 0,2 opposite, 0,1 adjacent
-    assert sr_only_reduce(pres, f) == poly({(0, 1): F(3)})
+    f = {(0, 2): F(5), (0, 1): F(3)}  # 0,2 opposite, 0,1 adjacent
+    assert sr_only_reduce(pres, f) == {(0, 1): F(3)}
 
 
 # -- full verification reports ------------------------------------------------
