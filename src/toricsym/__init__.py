@@ -12,8 +12,8 @@ from .catalog import (
     hexagon, house_pentagon, ninegon, square,
 )
 from .cohomology import (
-    CohomologyRing, Presentation, cohomology_ring, invariant_deg2, orbit_sums,
-    reynolds_image, ring_action,
+    CohomologyRing, cohomology_ring, invariant_deg2, orbit_sums, reynolds_image,
+    ring_action,
 )
 from .errors import (
     CaseMismatch, DegenerateOffsets, DegeneratePairing, NotASymmetry,
@@ -41,9 +41,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTINS", "CaseMismatch", "CoeffTable", "CohomologyRing",
     "DegenerateOffsets", "DegeneratePairing", "DihedralGroup",
-    "FundamentalRegion", "NotASymmetry", "Presentation", "RationalPolygon",
-    "Reflection", "RingMap", "RootSystem", "ToricSymError",
-    "VerificationReport", "build_dihedral_map", "builtin",
+    "FundamentalRegion", "NotASymmetry", "RationalPolygon", "Reflection",
+    "RingMap", "RootSystem", "ToricSymError", "VerificationReport",
+    "build_dihedral_map", "builtin",
     "check_image_invariant", "check_isomorphism", "check_well_defined",
     "circle_polygon", "cohomology_ring", "corpus", "d12_polytope",
     "default_offsets", "detect_reflections", "dihedral_coefficients",

@@ -23,8 +23,8 @@ from .catalog import BUILTINS, builtin
 from .cohomology import cohomology_ring
 from .errors import NotASymmetry, ToricSymError
 from .geometry import (
-    RAT_RE, RationalPolygon, format_point, format_rational, parse_rational,
-    polygon_from_json,
+    RAT_RE, RationalPolygon, format_point, format_rational, nonadjacent_pairs,
+    parse_rational, polygon_from_json,
 )
 from .rootsystems import (
     CARTAN, G2_EXPECTED_FIRST, G2_EXPECTED_SECOND, default_offsets,
@@ -130,8 +130,7 @@ def _matrix_lists(mat) -> list:
 
 
 def run_analyze(name: str, p: RationalPolygon) -> tuple[int, dict, list[str]]:
-    nonadj = [[i, j] for i in range(p.m) for j in range(i + 1, p.m)
-              if not p.adjacent(i, j)]
+    nonadj = nonadjacent_pairs(p.m)
     payload = {
         "name": name,
         "m": p.m,

@@ -1,26 +1,28 @@
 """Rational cohomology ring of the toric surface attached to a polygon.
 
 The ring is Q[x_0..x_{m-1}] / (I + J) with one generator per edge, where I
-is generated by the products of variables whose edges do not meet (all
-squarefree monomials x_i x_j with non-adjacent edges; for a triangle the
-single cubic x_0 x_1 x_2) and J by the two linear forms sum_i <e_k, n_i> x_i
-built from the edge normals. Gradings: variables sit in degree 2, the ring
-is 1, m-2, 1 in degrees 0, 2, 4 and zero above.
+is the Stanley-Reisner ideal of the normal fan and J is generated by the two
+linear forms sum_i <e_k, n_i> x_i built from the edge normals. I is fixed by
+m and the cyclic order alone (Fulton, Introduction to Toric Varieties,
+ch. 5): it is generated by the products x_i x_j of edges that share no
+vertex (geometry.nonadjacent_pairs(m)), and for a triangle by the single
+cubic x_0 x_1 x_2. So a ring stores only its polygon and the two relation
+rows of J. Gradings: variables sit in degree 2, the ring is 1, m-2, 1 in
+degrees 0, 2, 4 and zero above.
 
 A linear form, which is all the checks ever need, is a Row: a dict mapping
 an edge index i to the nonzero Fraction coefficient of x_i. H^2 is Q^E / M_Q,
-so a degree-2 class is a row read modulo the two relation rows of the
-presentation. Its coordinates on x_2 .. x_{m-1} (deg2_class) come from
+so a degree-2 class is a row read modulo the two relation rows
+(linear_rows). Its coordinates on x_2 .. x_{m-1} (deg2_class) come from
 Cramer's rule for x_0 and x_1; ranks of classes are taken on the rows
 themselves (deg2_rank), by the sparse elimination of exactlin.rank. Degree-4
 values come from the closed-form intersection table T of the normal fan
-(Fulton, Introduction to Toric Varieties, ch. 5): with the edge normals n_i
-in counterclockwise order, x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the
-point class, x_i^2 is -det(n_{i-1}, n_{i+1}) / (det(n_{i-1}, n_i)
-det(n_i, n_{i+1})) times it, and every other product is zero. T is cyclic
-tridiagonal, so the product of two linear forms v, w is the bilinear form
-v^T T w (deg4), which reads three table entries per term of v. Polynomials
-(Poly) appear only in witness text, printed by poly_str.
+(Fulton, ch. 5): with the edge normals n_i in counterclockwise order,
+x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the point class, x_i^2 is
+-det(n_{i-1}, n_{i+1}) / (det(n_{i-1}, n_i) det(n_i, n_{i+1})) times it, and
+every other product is zero. T is cyclic tridiagonal, so the product of two
+linear forms v, w is the bilinear form v^T T w (deg4), which reads three
+table entries per term of v. Witness text prints rows with row_str.
 
 A symmetry of the polygon acts on the ring by permuting the edge variables,
 so a group action is stored as a permutation and nothing else: it moves the
@@ -41,49 +43,28 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegeneratePairing, NotASymmetry, UnexpectedBettiNumber
 from .exactlin import Rat, RatMatrix, Vec, rank
-from .geometry import IntVec, RationalPolygon
+from .geometry import RationalPolygon, cross
 
 Row = dict[int, Rat]                # a linear form: x_i -> nonzero coefficient
-Poly = dict[tuple[int, ...], Rat]   # monomial -> coefficient, for witnesses
+_ZERO = Fraction(0)
 
 
-def poly_str(a: Poly, names: Optional[Mapping[int, str]] = None) -> str:
-    if not a:
+def row_str(row: Row, names: Optional[Mapping[int, str]] = None) -> str:
+    """A linear form as text, its terms in edge order."""
+    if not row:
         return "0"
     parts = []
-    for mono in sorted(a):
-        c = a[mono]
-        label = "*".join((names or {}).get(i, f"x{i}") for i in mono) or "1"
-        if c == 1 and mono:
-            parts.append(label)
-        elif c == -1 and mono:
-            parts.append(f"-{label}")
-        else:
-            parts.append(f"{c}*{label}" if mono else f"{c}")
+    for i in sorted(row):
+        c, label = row[i], (names or {}).get(i, f"x{i}")
+        parts.append(label if c == 1 else f"-{label}" if c == -1
+                     else f"{c}*{label}")
     return " + ".join(parts).replace("+ -", "- ")
 
 
 @dataclass(frozen=True)
-class Presentation:
-    polygon: RationalPolygon
-    sr_quadratics: tuple[tuple[int, int], ...]
-    sr_cubic: Optional[tuple[int, int, int]]
-    linear_rows: tuple[Row, Row]  # sum_i <e_k, n_i> x_i for k = 0, 1
-
-
-def presentation(p: RationalPolygon) -> Presentation:
-    m = p.m
-    quads = tuple((i, j) for i in range(m) for j in range(i + 1, m)
-                  if not p.adjacent(i, j))
-    cubic = (0, 1, 2) if m == 3 else None
-    rows = tuple({i: Fraction(e.normal[k]) for i, e in enumerate(p.edges)
-                  if e.normal[k]} for k in (0, 1))
-    return Presentation(p, quads, cubic, rows)
-
-
-@dataclass(frozen=True)
 class CohomologyRing:
-    pres: Presentation
+    polygon: RationalPolygon
+    linear_rows: tuple[Row, Row]            # sum_i <e_k, n_i> x_i, k = 0, 1
     betti: tuple[int, int, int]
     deg2_basis: tuple[int, ...]             # (2, ..., m-1)
     _pivot_rows: tuple[Vec, Vec]            # classes of x_0 and x_1
@@ -92,7 +73,7 @@ class CohomologyRing:
 
     @property
     def m(self) -> int:
-        return self.pres.polygon.m
+        return self.polygon.m
 
     @cached_property
     def pairing(self) -> RatMatrix:
@@ -105,17 +86,16 @@ class CohomologyRing:
     def deg2_class(self, row: Row) -> Vec:
         """Coordinates on deg2_basis of the class of a linear form: x_0 and
         x_1 are replaced by their classes, every other x_b is kept."""
-        zero = Fraction(0)
-        c0, c1 = row.get(0, zero), row.get(1, zero)
-        return tuple(row.get(b, zero) + c0 * r0 + c1 * r1
+        c0, c1 = row.get(0, _ZERO), row.get(1, _ZERO)
+        return tuple(row.get(b, _ZERO) + c0 * r0 + c1 * r1
                      for b, r0, r1 in zip(self.deg2_basis, *self._pivot_rows))
 
     def deg2_rank(self, rows: Iterable[Row]) -> int:
         """Dimension of the span of the rows' classes in H^2 = Q^E / M_Q: the
-        rank of rows with the two rows of pres.linear_rows appended, minus 2
+        rank of rows with the two linear_rows appended, minus 2
         (adjacent normals are independent, so those two have rank 2). Rows A
         and B span the same classes iff deg2_rank of A, B and A + B agree."""
-        return rank([*rows, *self.pres.linear_rows]) - 2
+        return rank([*rows, *self.linear_rows]) - 2
 
     def deg4(self, v: Row, w: Row) -> Rat:
         """The point-class coordinate of the product of two linear forms,
@@ -124,8 +104,8 @@ class CohomologyRing:
         sparser form is walked: O(min(|supp v|, |supp w|))."""
         if len(w) < len(v):
             v, w = w, v
-        m, t = self.m, self.product_table
-        total = Fraction(0)
+        t = self.product_table
+        m, total = len(t), _ZERO
         for i, c in v.items():
             row = t[i]
             for j in ((i - 1) % m, i, (i + 1) % m):
@@ -133,12 +113,6 @@ class CohomologyRing:
                 if x is not None:
                     total += c * row[j] * x
         return total
-
-
-def _cross(a: IntVec, b: IntVec) -> int:
-    """det(a, b) of two integer vectors, such as edge normals; an int, so
-    that each table entry is built once as Fraction(num, den)."""
-    return a[0] * b[1] - a[1] * b[0]
 
 
 def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
@@ -149,19 +123,21 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
     relations must annihilate column by column. The table is cyclic
     tridiagonal and the basis omits x_0, so the pairing is tridiagonal and
     its determinant is the continuant of its diagonals."""
-    pres = presentation(p)
     m = p.m
     n = p.normals()
-    det = [_cross(n[i], n[(i + 1) % m]) for i in range(m)]  # det(n_i, n_i+1)
+    rows = tuple({i: Fraction(v[k]) for i, v in enumerate(n) if v[k]}
+                 for k in (0, 1))
+    # int determinants, so that each entry is built once as Fraction(num, den)
+    det = [cross(n[i], n[(i + 1) % m]) for i in range(m)]  # det(n_i, n_i+1)
     basis = tuple(range(2, m))
-    pivot_rows = (tuple(Fraction(-_cross(n[b], n[1]), det[0]) for b in basis),
-                  tuple(Fraction(-_cross(n[0], n[b]), det[0]) for b in basis))
+    pivot_rows = (tuple(Fraction(-cross(n[b], n[1]), det[0]) for b in basis),
+                  tuple(Fraction(-cross(n[0], n[b]), det[0]) for b in basis))
 
     table = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
         j = (i + 1) % m
         table[i][j] = table[j][i] = Fraction(1, abs(det[i]))
-        table[i][i] = Fraction(-_cross(n[i - 1], n[j]), det[i - 1] * det[i])
+        table[i][i] = Fraction(-cross(n[i - 1], n[j]), det[i - 1] * det[i])
     for r in (0, 1):
         for i in range(m):
             if sum(n[k % m][r] * table[k % m][i] for k in (i - 1, i, i + 1)):
@@ -177,7 +153,7 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
     if pairing_det == 0:
         raise DegeneratePairing("degree-2 intersection pairing is singular")
     return CohomologyRing(
-        pres=pres, betti=(1, m - 2, 1), deg2_basis=basis,
+        polygon=p, linear_rows=rows, betti=(1, m - 2, 1), deg2_basis=basis,
         _pivot_rows=pivot_rows, product_table=table, pairing_det=pairing_det)
 
 
@@ -215,15 +191,15 @@ def ring_action(ring: CohomologyRing, perm: Sequence[int]) -> RingAction:
     if sorted(perm) != list(range(m)):
         raise NotASymmetry("not a permutation of the variables")
     # perm permutes unordered pairs and there are m adjacent ones, so it keeps
-    # disjoint pairs disjoint iff it keeps every pair (i, i+1) adjacent
-    p = ring.pres.polygon
+    # disjoint pairs disjoint iff it keeps every pair (i, i+1) adjacent, that
+    # is at cyclic distance 1
     for i in range(m):
         j = (i + 1) % m
-        if not p.adjacent(perm[i], perm[j]):
+        if (perm[j] - perm[i]) % m not in (1, m - 1):
             raise NotASymmetry(
                 f"permutation sends the adjacent pair ({i},{j}) to the "
                 f"disjoint edges ({perm[i]},{perm[j]})")
-    for row in ring.pres.linear_rows:
+    for row in ring.linear_rows:
         if any(ring.deg2_class({perm[i]: c for i, c in row.items()})):
             raise NotASymmetry(
                 "permutation does not preserve the linear relations")

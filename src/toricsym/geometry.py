@@ -35,11 +35,20 @@ def pt(x, y) -> Point:
 
 
 def cross(a: Sequence, b: Sequence) -> Rat:
-    return Fraction(a[0]) * Fraction(b[1]) - Fraction(a[1]) * Fraction(b[0])
+    """det(a, b), in the entries' own type: an int for two integer vectors,
+    such as edge normals. A caller that divides keeps a Fraction operand."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def dot(a: Sequence, b: Sequence) -> Rat:
-    return Fraction(a[0]) * Fraction(b[0]) + Fraction(a[1]) * Fraction(b[1])
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def nonadjacent_pairs(m: int) -> list[tuple[int, int]]:
+    """The pairs i < j of edges of an m-gon that share no vertex, in
+    lexicographic order: 2 <= j - i <= m - 2. They index the quadratic
+    generators x_i x_j of the Stanley-Reisner ideal of the normal fan."""
+    return [(i, j) for i in range(m) for j in range(i + 2, min(m, i + m - 1))]
 
 
 def primitive(v: Sequence) -> IntVec:
@@ -117,12 +126,6 @@ class RationalPolygon:
 
     def halfspaces(self) -> tuple[tuple[IntVec, Rat], ...]:
         return tuple((e.normal, e.offset) for e in self.edges)
-
-    def adjacent(self, i: int, j: int) -> bool:
-        """Whether edges i and j share a vertex."""
-        if i == j:
-            return False
-        return (j - i) % self.m == 1 or (i - j) % self.m == 1
 
     def area(self) -> Rat:
         s = Fraction(0)

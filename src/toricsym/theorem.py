@@ -19,8 +19,11 @@ is injective). The two verdicts are compared, never merged.
 Every image is a linear form, held as a sparse edge row {edge: Fraction}
 (cohomology.Row), and every check reads those rows directly: degree-2
 classes and ranks through CohomologyRing.deg2_class and deg2_rank, degree-4
-values through the bilinear form CohomologyRing.deg4. Polynomials appear
-only in the text of the witnesses.
+values through the bilinear form CohomologyRing.deg4. The source's
+Stanley-Reisner generators are read off its edge count
+(geometry.nonadjacent_pairs), and each is evaluated once: multiplicativity
+reuses the values of the nonadjacent basis pairs, so it evaluates deg4 only
+on the basis squares and the pairs (a, a+1).
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cohomology import (
-    CohomologyRing, RingAction, Row, cohomology_ring, invariant_deg2, poly_str,
-    ring_action,
+    CohomologyRing, RingAction, Row, cohomology_ring, invariant_deg2, ring_action,
+    row_str,
 )
 from .exactlin import Rat
-from .geometry import format_rational
+from .geometry import format_rational, nonadjacent_pairs
 from .symmetry import (
     DihedralCoefficients, FundamentalRegion, dihedral_coefficients,
     fundamental_region,
@@ -101,6 +104,7 @@ build_reflection_map = build_dihedral_map
 class CheckResult:
     ok: bool
     witnesses: tuple[str, ...]
+    sr_nonzero: tuple[tuple[int, int], ...] = ()  # SR pairs with image != 0
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ class InvarianceResult:
 
 
 def _nf_str(coords) -> str:
-    if all(c == 0 for c in coords):
+    if not any(coords):
         return "0"
     return "(" + ", ".join(format_rational(c) for c in coords) + ")"
 
@@ -124,24 +128,28 @@ def check_well_defined(rmap: RingMap,
     class in the target; all must vanish. A quadratic x_i x_j goes to
     deg4(image_i, image_j), the triangle's cubic to degree 6, which is zero,
     and a linear relation sum_i c_i x_i to the degree-2 class of
-    sum_i c_i image_i."""
-    pres, tgt, images = rmap.source.pres, rmap.target, rmap.images
-    one = Fraction(1)
-    labeled = [("sr", {(i, j): one}, (tgt.deg4(images[i], images[j]),))
-               for i, j in pres.sr_quadratics]
-    if pres.sr_cubic is not None:
-        labeled.append(("sr", {pres.sr_cubic: one}, ()))
-    for row in pres.linear_rows:
+    sum_i c_i image_i. The quadratics whose value is nonzero are kept in
+    the result for check_isomorphism."""
+    src, tgt, images = rmap.source, rmap.target, rmap.images
+    label = [(names or {}).get(i, f"x{i}") for i in range(src.m)]
+    wit, bad = [], []
+    for i, j in nonadjacent_pairs(src.m):
+        value = tgt.deg4(images[i], images[j])
+        if value:
+            bad.append((i, j))
+        wit.append(f"sr {label[i]}*{label[j]} -> {_nf_str((value,))}")
+    if src.m == 3:
+        wit.append(f"sr {'*'.join(label)} -> 0")
+    ok = not bad
+    for row in src.linear_rows:
         pushed: Row = {}
         for i, c in row.items():
             for k, v in images[i].items():
                 pushed[k] = pushed.get(k, 0) + c * v
-        labeled.append(("linear", {(i,): c for i, c in row.items()},
-                        tgt.deg2_class(pushed)))
-    ok = all(c == 0 for _, _, coords in labeled for c in coords)
-    return CheckResult(ok, tuple(
-        f"{label} {poly_str(g, names)} -> {_nf_str(coords)}"
-        for label, g, coords in labeled))
+        coords = tgt.deg2_class(pushed)
+        ok = ok and not any(coords)
+        wit.append(f"linear {row_str(row, names)} -> {_nf_str(coords)}")
+    return CheckResult(ok, tuple(wit), tuple(bad))
 
 
 def group_ring_actions(ring: CohomologyRing, fr: FundamentalRegion,
@@ -216,8 +224,9 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
     scalar is nonzero, so injectivity follows from duality, and fixed images
     plus equal dimensions give surjectivity onto the invariants.
 
-    The rank of inv_rows is read from inv, and the determinant of the source
-    pairing from the source ring, where they were computed.
+    The rank of inv_rows is read from inv, the determinant of the source
+    pairing from the source ring, and the products of nonadjacent basis pairs
+    from well.sr_nonzero, where they were computed.
     """
     src, tgt = rmap.source, rmap.target
     src2 = len(src.deg2_basis)
@@ -229,17 +238,16 @@ def check_isomorphism(rmap: RingMap, gen_actions, all_actions,
     spans = mat_rank == inv2 == tgt.deg2_rank(rows + inv_rows)
 
     # source products read off the table; region edges 0 and 1 are adjacent
-    t = src.product_table
-    scalar = tgt.deg4(rmap.images[0], rmap.images[1]) / t[0][1]
+    t, images = src.product_table, rmap.images
+    scalar = tgt.deg4(images[0], images[1]) / t[0][1]
     inj4 = scalar != 0
 
-    mult = True
-    for a in src.deg2_basis:
-        for b in src.deg2_basis:
-            if b < a:
-                continue
-            lhs = tgt.deg4(rmap.images[a], rmap.images[b])
-            mult = mult and lhs == scalar * t[a][b]
+    # T is tridiagonal and the basis 2..m-1 has no wrap-around pair, so only
+    # squares and pairs (a, a+1) have a nonzero source product; every other
+    # basis pair is a Stanley-Reisner generator that well evaluated
+    mult = (all(tgt.deg4(images[a], images[b]) == scalar * t[a][b]
+                for a in src.deg2_basis for b in (a, a + 1) if b < src.m)
+            and all(i < 2 for i, _ in well.sr_nonzero))
 
     orient = all(a.deg4_scalar == 1 for a in all_actions)
     pd_ok = src.pairing_det != 0

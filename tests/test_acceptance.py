@@ -268,7 +268,7 @@ def test_criterion_7_cancellation_replays():
     # the cubic is the source triangle's relation, and its image, of degree
     # 6, is zero in the target
     cubic = tuple(sorted((slot_idx, m1, m2)))
-    assert rmap.source.pres.sr_cubic == cubic
+    assert rmap.source.m == 3 and cubic == (0, 1, 2)
     assert "sr x0*x1*x2 -> 0" in check_well_defined(rmap).witnesses
     assert triangle_identity_term(fr, rmap) == {}
 

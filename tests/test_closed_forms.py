@@ -16,10 +16,14 @@ value of the bilinear form (CohomologyRing.deg4), which walks three table
 neighbours, with the dense double sum over the whole table. The table built
 on integer determinants is compared with the same closed form evaluated on
 Fractions, and every row the library builds holds nonzero Fractions only.
+The multiplicativity verdict, which evaluates the tridiagonal pairs and
+reads the rest off check_well_defined, is compared with the all-pairs loop
+on every fold and on tampered maps.
 """
 
 import importlib.util
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -34,10 +38,13 @@ from toricsym.cohomology import cohomology_ring, invariant_deg2, orbit_sums
 from toricsym.exactlin import RatMatrix, kernel_basis, rank, rref, spans_equal
 from toricsym.geometry import cross, polygon_from_vertices, primitive
 from toricsym.symmetry import (
-    Reflection, coefficient_pair, detect_reflections, fundamental_region,
-    maximal_dihedral,
+    Reflection, coefficient_pair, detect_reflections, dihedral_coefficients,
+    fundamental_region, maximal_dihedral,
 )
-from toricsym.theorem import build_dihedral_map, group_ring_actions
+from toricsym.theorem import (
+    build_dihedral_map, check_image_invariant, check_isomorphism,
+    check_well_defined, group_ring_actions,
+)
 
 _GEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
 _spec = importlib.util.spec_from_file_location("bench_generators", _GEN_PATH)
@@ -86,7 +93,7 @@ def eliminated_deg2_nf(ring, i):
     it: a unit vector on a free variable, the negated echelon row on a
     pivot."""
     red, pivots = rref(RatMatrix.from_rows(
-        [[r.get(j, 0) for j in range(ring.m)] for r in ring.pres.linear_rows]))
+        [[r.get(j, 0) for j in range(ring.m)] for r in ring.linear_rows]))
     assert pivots == (0, 1)
     if i in pivots:
         return tuple(-red[pivots.index(i), b] for b in ring.deg2_basis)
@@ -171,7 +178,7 @@ def test_edge_coordinate_ranks_match_the_deg2_basis_route():
             assert (ring.deg2_rank(forms)
                     == rank(deg2_rows(ring, forms))), fr.kind
         for r in (ring, rmap.source):
-            assert r.deg2_rank(r.pres.linear_rows) == 0
+            assert r.deg2_rank(r.linear_rows) == 0
 
 
 def test_pairing_continuant_on_generated_folds():
@@ -217,7 +224,8 @@ def test_integer_determinant_table_is_the_fraction_table():
     polygons += [fr.region for fr in REGIONS]
     for p in polygons:
         ring = cohomology_ring(p)
-        m, n = p.m, p.normals()
+        m = p.m
+        n = [tuple(map(Fraction, v)) for v in p.normals()]
         det = [cross(n[i], n[(i + 1) % m]) for i in range(m)]
         table = [[Fraction(0)] * m for _ in range(m)]
         for i in range(m):
@@ -243,7 +251,127 @@ def test_every_library_row_holds_nonzero_fractions():
         gens, full = group_ring_actions(rmap.target, fr)
         rows = [*rmap.images, *invariant_deg2(rmap.target, gens),
                 *invariant_deg2(rmap.target, full),
-                *rmap.target.pres.linear_rows, *rmap.source.pres.linear_rows]
+                *rmap.target.linear_rows, *rmap.source.linear_rows]
         for row in rows:
             assert all(type(x) is Fraction and x for x in row.values()), (
                 fr.kind, row)
+
+
+def all_pairs_multiplicative(rmap, pairs=None):
+    """The multiplicativity test over every pair a <= b of source basis
+    classes (or over the given pairs only): deg4 of their images against
+    the degree-4 scalar times the source table entry. check_isomorphism
+    evaluates only the squares and the pairs (a, a+1), and reads every other
+    pair off check_well_defined."""
+    src, tgt, images = rmap.source, rmap.target, rmap.images
+    t, basis = src.product_table, src.deg2_basis
+    scalar = tgt.deg4(images[0], images[1]) / t[0][1]
+    if pairs is None:
+        pairs = [(a, b) for a in basis for b in basis if a <= b]
+    return all(tgt.deg4(images[a], images[b]) == scalar * t[a][b]
+               for a, b in pairs)
+
+
+def sr_only_tamper(rmap):
+    """A map wrong only at a nonadjacent basis pair, or None. With T the
+    source table and phi the map, phi(x_4) gains lam * w for the image w of
+    c = x_1 + x_4 + c_3 x_3 + c_5 x_5, where c_3 and c_5 make T c vanish at
+    x_3 and x_5. Then phi(x_4) keeps its products with phi(x_3) and
+    phi(x_5), lam keeps its square, and its product with phi(x_2) gains
+    lam * (T c)_2, which is nonzero on the folds where this applies."""
+    src, tgt, images = rmap.source, rmap.target, rmap.images
+    t, m = src.product_table, src.m
+    if m < 5 or t[3][3] == 0 or (m > 5 and t[5][5] == 0):
+        return None
+    c = {1: Fraction(1), 4: Fraction(1), 3: -t[3][4] / t[3][3]}
+    if m > 5:
+        c[5] = -t[5][4] / t[5][5]
+    w = {}
+    for k, ck in c.items():
+        for e, v in images[k].items():
+            w[e] = w.get(e, 0) + ck * v
+    w = {e: v for e, v in w.items() if v}
+    if not tgt.deg4(images[4], w) or not tgt.deg4(w, w):
+        return None
+    lam = -2 * tgt.deg4(images[4], w) / tgt.deg4(w, w)
+    row = dict(images[4])
+    for e, v in w.items():
+        row[e] = row.get(e, 0) + lam * v
+    tampered = list(images)
+    tampered[4] = {e: v for e, v in row.items() if v}
+    return replace(rmap, images=tuple(tampered))
+
+
+def tampered_maps(fr, rmap):
+    """Maps that are wrong in different places: zero normal-jump
+    coefficients, one basis image doubled, one basis image given an extra
+    far edge, the first and last basis images swapped, and, where it
+    applies, sr_only_tamper."""
+    zero = dihedral_coefficients(fr)
+    zero = replace(zero, c={k: Fraction(0) for k in zero.c},
+                   d={k: Fraction(0) for k in zero.d})
+    out = [build_dihedral_map(fr, zero)]
+    basis, images, m = rmap.source.deg2_basis, rmap.images, rmap.target.m
+    first, last = basis[0], basis[-1]
+    doubled = list(images)
+    doubled[first] = {k: 2 * v for k, v in images[first].items()}
+    far = list(images)
+    k = (max(images[last], default=0) + m // 2) % m
+    far[last] = {**images[last], k: images[last].get(k, 0) + 1}
+    far[last] = {i: v for i, v in far[last].items() if v}
+    swapped = list(images)
+    swapped[first], swapped[last] = images[last], images[first]
+    out += [replace(rmap, images=tuple(x)) for x in (doubled, far, swapped)]
+    return out + [x for x in [sr_only_tamper(rmap)] if x is not None]
+
+
+def test_tridiagonal_multiplicativity_is_the_all_pairs_test():
+    """On every fold, and on its tampered maps, check_isomorphism's
+    verdict equals the all-pairs loop. The tampering breaks it on most
+    folds, and on some only at a nonadjacent basis pair, where the verdict
+    comes from check_well_defined."""
+    verdicts, sr_only = [], 0
+    for p, g in FOLDS:
+        fr = fundamental_region(p, g)
+        rmap = build_dihedral_map(fr)
+        gens, full = group_ring_actions(rmap.target, fr)
+        inv_rows = invariant_deg2(rmap.target, gens)
+        for k, r in enumerate([rmap, *tampered_maps(fr, rmap)]):
+            well = check_well_defined(r)
+            inv = check_image_invariant(r, gens, inv_rows)
+            checks = check_isomorphism(r, gens, full, inv_rows, well, inv)
+            want = all_pairs_multiplicative(r)
+            assert checks.multiplicative == want, (fr.kind, k)
+            assert (f"multiplicativity on basis pairs "
+                    f"{'holds' if want else 'fails'}") in checks.witnesses
+            if k == 0:
+                assert want and well.sr_nonzero == (), fr.kind
+            verdicts.append(want)
+            basis = r.source.deg2_basis
+            sr_only += not want and all_pairs_multiplicative(
+                r, [(a, a) for a in basis] + list(zip(basis, basis[1:])))
+    assert verdicts.count(False) >= len(FOLDS)
+    assert sr_only > 0
+
+
+def test_multiplicativity_reads_the_nonadjacent_basis_pairs_from_well():
+    """A nonadjacent basis pair recorded as nonzero by check_well_defined
+    fails multiplicativity; a recorded pair that meets x_0 or x_1 is not a
+    basis pair and does not."""
+    for p, g in FOLDS:
+        fr = fundamental_region(p, g)
+        if fr.region.m < 5:
+            continue
+        rmap = build_dihedral_map(fr)
+        gens, full = group_ring_actions(rmap.target, fr)
+        inv_rows = invariant_deg2(rmap.target, gens)
+        well = check_well_defined(rmap)
+        inv = check_image_invariant(rmap, gens, inv_rows)
+        m = fr.region.m
+
+        def mult(pairs):
+            return check_isomorphism(rmap, gens, full, inv_rows,
+                                     replace(well, sr_nonzero=pairs),
+                                     inv).multiplicative
+        assert mult(()) and mult(((0, 2), (1, m - 1)))
+        assert not mult(((2, 4),)) and not mult(((0, 2), (2, m - 1)))

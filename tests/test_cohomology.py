@@ -4,10 +4,11 @@ pairing.
 Dual route for the ring structure: the package reads degree-4 products off
 the closed-form intersection table of the normal fan (Fulton, Introduction to
 Toric Varieties, ch. 5) and does no elimination in degree 4; the oracle below
-rebuilds the degree-4 relation span from the presentation definition and
-pushes it through sympy's rank / nullspace instead. It runs on the corpus, on
-the fold regions of every corpus polygon and on polygons whose adjacent
-normals are far from unimodular. A Groebner-basis route (a third algorithm)
+rebuilds the degree-4 relation span from the definition of the ring (the
+products of edges without a common vertex, and the linear relations of every
+variable) and pushes it through sympy's rank / nullspace instead. It runs on
+the corpus, on the fold regions of every corpus polygon and on polygons whose
+adjacent normals are far from unimodular. A Groebner-basis route (a third algorithm)
 pins down the square's ring once more.
 """
 
@@ -17,14 +18,15 @@ from itertools import permutations
 import pytest
 import sympy
 
+from test_geometry import shares_vertex
+
 from toricsym.catalog import corpus, hexagon, house_pentagon, square
 from toricsym.cohomology import (
-    cohomology_ring, invariant_deg2, orbit_sums, presentation, reynolds_image,
-    ring_action,
+    cohomology_ring, invariant_deg2, orbit_sums, reynolds_image, ring_action,
 )
 from toricsym.errors import NotASymmetry
 from toricsym.exactlin import RatMatrix, kernel_basis, rank, spans_equal
-from toricsym.geometry import cross, polygon_from_vertices
+from toricsym.geometry import cross, nonadjacent_pairs, polygon_from_vertices
 from toricsym.symmetry import (
     detect_reflections, dihedral_group, edge_permutation, fundamental_region,
     maximal_dihedral,
@@ -64,19 +66,25 @@ SKEWED = {
 
 def test_square_presentation():
     p = square()
-    pres = presentation(p)
+    ring = cohomology_ring(p)
     assert p.normals() == ((0, -1), (1, 0), (0, 1), (-1, 0))
-    assert pres.sr_quadratics == ((0, 2), (1, 3))
-    assert pres.sr_cubic is None
+    # the Stanley-Reisner quadratics are the disjoint edge pairs, and only a
+    # triangle has a cubic
+    assert nonadjacent_pairs(p.m) == [(0, 2), (1, 3)]
+    assert p.m != 3
     # the rows [0, 1, 0, -1] and [-1, 0, 1, 0], nonzero entries only
-    assert pres.linear_rows == ({1: 1, 3: -1}, {0: -1, 2: 1})
+    assert ring.linear_rows == ({1: 1, 3: -1}, {0: -1, 2: 1})
 
 
 def test_triangle_presentation_uses_the_cubic():
     p = CORPUS["triangle"]
-    pres = presentation(p)
-    assert pres.sr_quadratics == ()
-    assert pres.sr_cubic == (0, 1, 2)
+    ring = cohomology_ring(p)
+    # every pair of a triangle's edges meets, so no quadratic is a generator
+    # and x0*x1*x2 is the one Stanley-Reisner generator
+    assert nonadjacent_pairs(p.m) == []
+    assert p.m == 3
+    assert all(ring.product_table[i][j] != 0
+               for i in range(3) for j in range(3) if i != j)
 
 
 def test_square_ring_structure():
@@ -100,7 +108,7 @@ def test_product_table_matches_adjacency():
         for i in range(p.m):
             for j in range(p.m):
                 got = ring.product_table[i][j]
-                if i != j and not p.adjacent(i, j):
+                if i != j and not shares_vertex(p, i, j):
                     assert got == 0, (name, i, j)
                 elif i != j:
                     det = cross(p.edges[i].normal, p.edges[j].normal)
@@ -111,7 +119,7 @@ def test_linear_relations_annihilate_the_table():
     for name in ("house", "circle5", "d12"):
         p = CORPUS[name]
         ring = cohomology_ring(p)
-        rows = ring.pres.linear_rows
+        rows = ring.linear_rows
         for i in range(p.m):
             for r in (0, 1):
                 total = sum(c * ring.product_table[i][j]
@@ -144,7 +152,7 @@ def test_degree_routing():
     refs = detect_reflections(p)
     fr = fundamental_region(p, dihedral_group(refs[0], refs[2]))
     rmap = build_dihedral_map(fr)
-    assert rmap.source.pres.sr_cubic == (0, 1, 2)
+    assert rmap.source.m == 3
     assert "sr x0*x1*x2 -> 0" in check_well_defined(rmap).witnesses
 
 
@@ -160,7 +168,7 @@ def oracle_structure(p):
     rows = []
     for i in range(m):
         for j in range(i + 1, m):
-            if not p.adjacent(i, j):
+            if not shares_vertex(p, i, j):
                 row = [sympy.Integer(0)] * len(monos)
                 row[idx[(i, j)]] = sympy.Integer(1)
                 rows.append(row)
@@ -285,7 +293,8 @@ def test_ring_action_adjacency_test_is_the_pairwise_predicate():
     ring = cohomology_ring(p)
     rejected = 0
     for perm in permutations(range(p.m)):
-        pairwise = any(not p.adjacent(i, j) and p.adjacent(perm[i], perm[j])
+        pairwise = any(not shares_vertex(p, i, j)
+                       and shares_vertex(p, perm[i], perm[j])
                        for i in range(p.m) for j in range(i + 1, p.m))
         try:
             ring_action(ring, perm)

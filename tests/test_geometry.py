@@ -19,8 +19,8 @@ from toricsym.errors import (
 from toricsym.exactlin import RatMatrix
 from toricsym.geometry import (
     apply_linear, clip_halfplane, cross, dot, format_rational,
-    parse_rational, polygon_from_halfspaces, polygon_from_json,
-    polygon_from_vertices, primitive, pt,
+    nonadjacent_pairs, parse_rational, polygon_from_halfspaces,
+    polygon_from_json, polygon_from_vertices, primitive, pt,
 )
 
 F = Fraction
@@ -147,13 +147,72 @@ def test_g2_walls_uniform_offsets_degenerate():
         polygon_from_halfspaces(uniform)
 
 
+def shares_vertex(p, i, j):
+    """Whether distinct edges i and j of p have a common endpoint."""
+    a, b = p.edges[i], p.edges[j]
+    return i != j and bool({a.tail, a.head} & {b.tail, b.head})
+
+
 def test_adjacency():
     p = polygon_from_vertices(SQUARE)
-    assert p.adjacent(0, 1) and p.adjacent(3, 0)
-    assert not p.adjacent(0, 2) and not p.adjacent(1, 3)
-    assert not p.adjacent(2, 2)
+    assert shares_vertex(p, 0, 1) and shares_vertex(p, 3, 0)
+    assert not shares_vertex(p, 0, 2) and not shares_vertex(p, 1, 3)
+    assert not shares_vertex(p, 2, 2)
+    assert nonadjacent_pairs(p.m) == [(0, 2), (1, 3)]
     tri = polygon_from_vertices([(2, -1), (-1, 2), (-1, -1)])
-    assert all(tri.adjacent(i, j) for i in range(3) for j in range(3) if i != j)
+    assert all(shares_vertex(tri, i, j)
+               for i in range(3) for j in range(3) if i != j)
+    assert nonadjacent_pairs(tri.m) == []
+    g2 = polygon_from_halfspaces(G2_HALFSPACES)
+    assert nonadjacent_pairs(g2.m) == [
+        (i, j) for i in range(g2.m) for j in range(i + 1, g2.m)
+        if not shares_vertex(g2, i, j)]
+
+
+def test_nonadjacent_pairs_is_the_pairwise_definition():
+    # edge k of an m-gon joins vertices k and k + 1; two edges are disjoint
+    # when their vertex sets are
+    for m in range(3, 61):
+        def ends(k):
+            return {k, (k + 1) % m}
+        brute = [(i, j) for i in range(m) for j in range(i + 1, m)
+                 if not ends(i) & ends(j)]
+        assert nonadjacent_pairs(m) == brute, m
+        assert len(brute) == m * (m - 3) // 2
+
+
+def test_exact_products_stay_exact_where_they_divide():
+    # cross and dot return the entries' own type: ints on integer normals.
+    # Every call site that divides by one has a Fraction operand, so no
+    # float can appear: the vertices of a half-space intersection, the
+    # points clipped from a polygon, its area and containment values, and
+    # the normal-jump coefficients of every fold.
+    from toricsym.catalog import corpus
+    from toricsym.symmetry import (
+        coefficient_pair, detect_reflections, fundamental_region,
+        maximal_dihedral,
+    )
+    assert type(cross((1, 2), (3, 4))) is int and cross((1, 2), (3, 4)) == -2
+    assert type(dot((1, 2), (3, 4))) is int and dot((1, 2), (3, 4)) == 11
+    assert type(cross(pt(1, 2), (3, 4))) is Fraction
+    for p in [polygon_from_halfspaces(G2_HALFSPACES), *corpus().values()]:
+        q = polygon_from_halfspaces(p.halfspaces())
+        assert all(type(x) is Fraction for v in q.vertices for x in v)
+        assert type(q.area()) is Fraction
+        cut = clip_halfplane(q.vertices, q.edges[0].normal)
+        assert all(type(x) is Fraction for v in cut for x in v)
+        refs = detect_reflections(p)
+        groups = list(refs)
+        if len(refs) >= 2:
+            groups.append(maximal_dihedral(refs)[0])
+        for g in groups:
+            fr = fundamental_region(p, g)
+            assert all(type(x) is Fraction for v in fr.region.vertices
+                       for x in v)
+            for j in fr.slots:
+                for u in fr.group.elements:
+                    values = coefficient_pair(fr, u, j)
+                    assert all(type(x) is Fraction for x in values), (fr.kind, j)
 
 
 def test_contains():

@@ -14,7 +14,7 @@ from toricsym.catalog import builtin, house_pentagon, ninegon
 from toricsym.cohomology import cohomology_ring
 from toricsym.errors import CaseMismatch, InconsistentGeometry, NotASymmetry
 from toricsym.exactlin import RatMatrix
-from toricsym.geometry import cross
+from toricsym.geometry import cross, nonadjacent_pairs
 from toricsym.symmetry import (
     detect_reflections, dihedral_coefficients, dihedral_group,
     fundamental_region,
@@ -78,7 +78,7 @@ def invariance_combination(fr, rmap, generator=1):
         eta = fr.etas[generator - 1]
         second = fr.etas[2 - generator]
         mirror_idx = fr.mirror_edges[generator - 1]
-    det = cross(eta, second)
+    det = F(cross(eta, second))  # cross of integer vectors is an int
     dual = (second[1] / det, -second[0] / det)
     # crossed-edge normals pair to zero with the dual vector, so their
     # images contribute nothing and are omitted
@@ -96,19 +96,19 @@ def invariance_combination(fr, rmap, generator=1):
     return {k: v for k, v in out.items() if v}
 
 
-def sr_only_reduce(pres, f):
-    """Drop every monomial of f ({sorted variable tuple: coefficient})
-    containing a nonadjacent pair (or the whole triangle product), touching
-    no linear relation."""
-    quads = set(pres.sr_quadratics)
+def sr_only_reduce(m, f):
+    """Drop every monomial of f ({sorted variable tuple: coefficient}) in
+    the ring of an m-gon containing a nonadjacent pair (or, for a triangle,
+    the whole product x0*x1*x2), touching no linear relation."""
+    quads = set(nonadjacent_pairs(m))
     out = {}
     for mono, coef in f.items():
         support = sorted(set(mono))
         dead = any((support[a], support[b]) in quads
                    for a in range(len(support))
                    for b in range(a + 1, len(support)))
-        if not dead and pres.sr_cubic is not None:
-            dead = set(pres.sr_cubic) <= set(support)
+        if not dead and m == 3:
+            dead = {0, 1, 2} <= set(support)
         if not dead:
             out[mono] = coef
     return out
@@ -132,7 +132,7 @@ def triangle_identity_term(fr, rmap):
             mono = tuple(sorted((parent, a, b)))
             prod[mono] = prod.get(mono, 0) + va * vb
     prod = {mono: c for mono, c in prod.items() if c}
-    return sr_only_reduce(rmap.target.pres, prod)
+    return sr_only_reduce(rmap.target.m, prod)
 
 
 # -- map construction, single mirror ----------------------------------------
@@ -306,9 +306,9 @@ def test_triangle_identity_requires_single_slot_wedge():
 
 def test_sr_only_reduce_drops_nonadjacent_monomials():
     p = builtin("square")
-    pres = cohomology_ring(p).pres
+    m = cohomology_ring(p).m
     f = {(0, 2): F(5), (0, 1): F(3)}  # 0,2 opposite, 0,1 adjacent
-    assert sr_only_reduce(pres, f) == {(0, 1): F(3)}
+    assert sr_only_reduce(m, f) == {(0, 1): F(3)}
 
 
 # -- full verification reports ------------------------------------------------
@@ -368,8 +368,11 @@ def test_triangle_region_routes_through_cubic_presentation():
     g = pair_group("square", 0, 2)
     fr = fundamental_region(p, g)
     assert fr.region.m == 3
-    assert cohomology_ring(fr.region).pres.sr_cubic == (0, 1, 2)
+    assert cohomology_ring(fr.region).m == 3
     rep = verify_theorem(p, g)
+    # the only Stanley-Reisner witness is the cubic, a product of three
+    sr = [w for w in rep.well_defined.witnesses if w.startswith("sr ")]
+    assert len(sr) == 1 and sr[0].count("*") == 2 and sr[0].endswith("-> 0")
     assert rep.case == "2-3" and rep.n == 3
     assert rep.isomorphism
     assert rep.graded_dims == (1, 1, 1, 1)
