@@ -7,6 +7,18 @@ surface. A single mirror is the dihedral group of order 2, {id, sigma} with
 words () and (1,): one region builder, one edge-permutation table, one
 orbit decomposition and one coefficient table serve both kinds of group.
 
+The group acts by integer arithmetic. Each vertex (x, y) is the reduced
+triple (X, Y, D) with (x, y) = (X, Y)/D and D the lcm of that vertex's own
+two denominators. A map in GL2(Z) keeps gcd(X, Y), so it sends a reduced
+triple to the reduced triple (g(X, Y), D): mapping a vertex costs four
+integer products, and a lattice mirror pairs vertices of equal D only. A
+common denominator for the whole polygon would be the lcm of all of them,
+thousands of bits for a generated polygon with m in the thousands, and
+every product would pay for it. Group elements are multiplied as integer
+4-tuples, each word's matrix from its prefix's, and only the generators
+map vertices: every other element's edge permutation is composed from
+theirs along its word.
+
 The fundamental region is the polygon clipped by each chosen mirror normal
 eta in turn, to its side <x, eta> <= 0. A mirror's half-plane is the wedge
 of angle pi between the two rays of its line, so every region has exactly
@@ -33,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
@@ -44,19 +57,6 @@ from .geometry import (
     IntVec, RationalPolygon, _region_polygon, clip_halfplane, cross, dot,
     format_point, format_rational, primitive,
 )
-
-
-def inverse2(m: RatMatrix) -> RatMatrix:
-    a, b, c, d = m.entries
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("singular matrix")
-    return RatMatrix.from_rows([[d / det, -b / det], [-c / det, a / det]])
-
-
-def dual_matrix(m: RatMatrix) -> RatMatrix:
-    """Action induced on normal vectors by x -> m x (inverse transpose)."""
-    return inverse2(m.transpose())
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,11 @@ class Reflection:
         if not _integral(matrix):
             raise NotASymmetry("the matrix is not a lattice map: a "
                                "reflection must have integer entries")
-        a, b, c, d = matrix.entries
+        g = _ints(matrix)
+        a, b, c, d = g
         if a * d - b * c != -1:
             raise NotASymmetry("a reflection must have determinant -1")
-        if matrix @ matrix != RatMatrix.identity(2):
+        if _mul(g, g) != (1, 0, 0, 1):
             raise NotASymmetry("a reflection must be an involution")
         # (g - 1)(g + 1) = 0: a nonzero column of g + 1 spans the fixed line
         dvec = (a + 1, c) if (a + 1, c) != (0, 0) else (b, d + 1)
@@ -96,18 +97,51 @@ def _integral(matrix: RatMatrix) -> bool:
     return all(x.denominator == 1 for x in matrix.entries)
 
 
+def _ints(matrix: RatMatrix) -> tuple[int, ...]:
+    """The entries of an integral matrix as ints."""
+    return tuple(x.numerator for x in matrix.entries)
+
+
+def _mul(g: Sequence[int], h: Sequence[int]) -> tuple[int, int, int, int]:
+    """The product g h of two 2 x 2 integer matrices given row-major."""
+    a, b, c, d = g
+    e, f, k, l = h
+    return (a * e + b * k, a * f + b * l, c * e + d * k, c * f + d * l)
+
+
+def _rat(g: Sequence[int]) -> RatMatrix:
+    return RatMatrix(2, 2, tuple(map(Fraction, g)))
+
+
+def _triples(p: RationalPolygon) -> list[tuple[int, int, int]]:
+    """Each vertex (x, y) as the reduced triple (X, Y, D) with (x, y) =
+    (X, Y)/D and D the lcm of the vertex's own two denominators."""
+    out = []
+    for x, y in p.vertices:
+        dx, dy = x.denominator, y.denominator
+        d = dx // gcd(dx, dy) * dy
+        out.append((x.numerator * (d // dx), y.numerator * (d // dy), d))
+    return out
+
+
 def vertex_permutation(p: RationalPolygon, matrix: RatMatrix) -> tuple[int, ...]:
     """tau with matrix * vertices[i] == vertices[tau[i]]; NotASymmetry if the
     vertex set is not preserved."""
-    index = {v: i for i, v in enumerate(p.vertices)}
-    tau = []
-    for v in p.vertices:
-        w = matrix.mat_vec(v)
-        if w not in index:
-            raise NotASymmetry(
-                f"image of vertex {format_point(v)} is not a vertex")
-        tau.append(index[w])
-    return tuple(tau)
+    # a non-integral matrix reads as 0 here and keeps the Fraction route
+    a, b, c, d = _ints(matrix) if _integral(matrix) else (0, 0, 0, 0)
+    if a * d - b * c in (1, -1):
+        # a lattice map keeps each reduced triple reduced, with the same D
+        triples = _triples(p)
+        index = {t: i for i, t in enumerate(triples)}
+        images = [index.get((a * x + b * y, c * x + d * y, e))
+                  for x, y, e in triples]
+    else:
+        index = {v: i for i, v in enumerate(p.vertices)}
+        images = [index.get(matrix.mat_vec(v)) for v in p.vertices]
+    if None in images:
+        v = p.vertices[images.index(None)]
+        raise NotASymmetry(f"image of vertex {format_point(v)} is not a vertex")
+    return tuple(images)
 
 
 def edge_permutation(p: RationalPolygon, matrix: RatMatrix) -> tuple[int, ...]:
@@ -129,19 +163,29 @@ def edge_permutation(p: RationalPolygon, matrix: RatMatrix) -> tuple[int, ...]:
 def detect_reflections(p: RationalPolygon) -> tuple[Reflection, ...]:
     """All lattice reflections preserving p, in the order of their vertex
     pairings v_i -> v_{k-i} for k = 0..m-1. A pairing whose linear map is
-    not an integer matrix does not act on the lattice, so it is skipped."""
-    vs = p.vertices
-    m = p.m
-    basis = RatMatrix.from_rows([[vs[0][0], vs[1][0]], [vs[0][1], vs[1][1]]])
-    binv = inverse2(basis)  # vertices span the plane: no edge line hits 0
+    not an integer matrix does not act on the lattice, so it is skipped.
+
+    A lattice reflection keeps every reduced triple's D, so v_k and v_{k-1}
+    must share the D of v_0 and v_1. Then the map is T adj(B) / det(B), with
+    B = (X_0 X_1; Y_0 Y_1) and T the same for v_k and v_{k-1}: it is integral
+    iff det(B) divides T adj(B), and of determinant -1 iff det(T) = -det(B)."""
+    tr = _triples(p)
+    (x0, y0, d0), (x1, y1, d1) = tr[0], tr[1]
+    det = x0 * y1 - x1 * y0  # vertices span the plane: no edge line hits 0
     found = []
-    for k in range(m):
-        t0, t1 = vs[k % m], vs[(k - 1) % m]
-        target = RatMatrix.from_rows([[t0[0], t1[0]], [t0[1], t1[1]]])
-        cand = target @ binv
-        if _integral(cand) and all(
-                cand.mat_vec(vs[i]) == vs[(k - i) % m] for i in range(m)):
-            found.append(Reflection.from_matrix(cand))
+    for k in range(p.m):
+        (u0, w0, e0), (u1, w1, e1) = tr[k], tr[k - 1]
+        if e0 != d0 or e1 != d1 or u0 * w1 - u1 * w0 != -det:
+            continue
+        # T adj(B) with adj(B) = (y1 -x1; -y0 x0)
+        num = (u0 * y1 - u1 * y0, u1 * x0 - u0 * x1,
+               w0 * y1 - w1 * y0, w1 * x0 - w0 * x1)
+        if any(n % det for n in num):
+            continue
+        a, b, c, d = (n // det for n in num)
+        if all((a * x + b * y, c * x + d * y, e) == tr[k - i]
+               for i, (x, y, e) in enumerate(tr)):
+            found.append(Reflection.from_matrix(_rat((a, b, c, d))))
     return tuple(found)
 
 
@@ -196,43 +240,43 @@ class DihedralGroup:
 
 def dihedral_group(r1: Reflection, r2: Reflection) -> DihedralGroup:
     """The group generated by r1 and r2, of order 2*ell where ell is the
-    order of the rotation s1*s2. A finite-order element of GL2(Q) with
-    determinant 1 has order 1, 2, 3, 4 or 6: order 2 means -I, and orders 3,
-    4 and 6 are exactly traces -1, 0 and 1."""
-    if r1.matrix == r2.matrix:
+    order of the rotation s1*s2."""
+    return _generated(r1, r2, _ell(r1, r2))
+
+
+def _ell(r1: Reflection, r2: Reflection) -> int:
+    """The order of the rotation s1*s2. A finite-order element of GL2(Q)
+    with determinant 1 has order 1, 2, 3, 4 or 6: order 2 means -I, and
+    orders 3, 4 and 6 are exactly traces -1, 0 and 1."""
+    g1, g2 = _ints(r1.matrix), _ints(r2.matrix)
+    if g1 == g2:
         raise EllTooSmall("the two generators coincide")
-    rot = r1.matrix @ r2.matrix
-    if rot == RatMatrix.from_rows([[-1, 0], [0, -1]]):
-        ell = 2
-    else:
-        ell = {-1: 3, 0: 4, 1: 6}.get(rot[0, 0] + rot[1, 1])
-        if ell is None:
-            raise NotFiniteOrder(
-                "product of the two reflections has infinite order")
-    return _generated(r1, r2, ell)
+    rot = _mul(g1, g2)
+    if rot == (-1, 0, 0, -1):
+        return 2
+    ell = {-1: 3, 0: 4, 1: 6}.get(rot[0] + rot[3])
+    if ell is None:
+        raise NotFiniteOrder("product of the two reflections has infinite order")
+    return ell
 
 
 def _generated(r1: Reflection, r2: Reflection, ell: int) -> DihedralGroup:
     """The group of order 2*ell with generators s1 = r1, s2 = r2, one
-    element per reduced word."""
-    gens = {1: r1.matrix, 2: r2.matrix}
-
-    def matrix_of(word):
-        m = RatMatrix.identity(2)
-        for a in word:
-            m = m @ gens[a]
-        return m
-
+    element per reduced word; each word's matrix is its prefix's matrix
+    times its last letter."""
+    gens = {1: _ints(r1.matrix), 2: _ints(r2.matrix)}
     words = [()]
     for k in range(1, ell):
         words.append(_alternating_word(k, last=1))
         words.append(_alternating_word(k, last=2))
-    longest = tuple(1 if j % 2 == 0 else 2 for j in range(ell))
-    words.append(longest)
-    elements = tuple(GroupElement(w, matrix_of(w)) for w in words)
-    if len({e.matrix for e in elements}) != 2 * ell:
+    words.append(tuple(1 if j % 2 == 0 else 2 for j in range(ell)))
+    mats = {(): (1, 0, 0, 1)}
+    for w in words[1:]:
+        mats[w] = _mul(mats[w[:-1]], gens[w[-1]])
+    if len(set(mats.values())) != 2 * ell:
         raise NotFiniteOrder("generators do not generate a dihedral group "
                              "of the computed order")
+    elements = tuple(GroupElement(w, _rat(mats[w])) for w in words)
     return DihedralGroup(r1, r2, ell, elements)
 
 
@@ -241,16 +285,19 @@ def maximal_dihedral(refs: Sequence[Reflection],
     """The group of the first mirror pair whose dihedral group has the
     largest order, and every index pair i < j generating a group of that
     order, in scan order; (None, ()) with fewer than two mirrors."""
-    best: Optional[DihedralGroup] = None
+    best = 0
     pairs: list[tuple[int, int]] = []
     for i in range(len(refs)):
         for j in range(i + 1, len(refs)):
-            g = dihedral_group(refs[i], refs[j])
-            if best is None or g.ell > best.ell:
-                best, pairs = g, []
-            if g.ell == best.ell:
+            ell = _ell(refs[i], refs[j])
+            if ell > best:
+                best, pairs = ell, []
+            if ell == best:
                 pairs.append((i, j))
-    return best, tuple(pairs)
+    if not pairs:
+        return None, ()
+    i, j = pairs[0]
+    return _generated(refs[i], refs[j], best), tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -396,8 +443,16 @@ def fundamental_region(p: RationalPolygon,
     candidate whose region has the lexicographically smallest vertex tuple
     is taken.
     """
-    # NotASymmetry here when a generator does not preserve p
-    perms = {e.matrix: edge_permutation(p, e.matrix) for e in group.elements}
+    # NotASymmetry here when a generator does not preserve p; every longer
+    # word u = s_a rest composes as pi_u[i] = pi_a[pi_rest[i]]
+    by_word: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for e in group.elements:
+        if e.length <= 1:
+            by_word[e.word] = edge_permutation(p, e.matrix)
+        else:
+            head, rest = by_word[e.word[:1]], by_word[e.word[1:]]
+            by_word[e.word] = tuple(head[k] for k in rest)
+    perms = {e.matrix: by_word[e.word] for e in group.elements}
     warnings: tuple[str, ...] = ()
     if isinstance(group, Reflection):
         normals: tuple[IntVec, ...] = (group.mirror_normal,)

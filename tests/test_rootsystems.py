@@ -180,7 +180,7 @@ def test_golden_table_other_types_run():
 
 
 def test_polytope_is_group_invariant():
-    from toricsym.symmetry import dual_matrix
+    from test_symmetry import dual_matrix
 
     rs = root_system("G2")
     poly = weight_polytope(rs)

@@ -15,8 +15,8 @@ from toricsym.exactlin import RatMatrix
 from toricsym.geometry import apply_linear, polygon_from_vertices, pt
 from toricsym.symmetry import (
     DihedralGroup, Reflection, coefficient_pair, detect_reflections,
-    dihedral_coefficients, dihedral_group, dual_matrix, edge_permutation,
-    fundamental_region, inverse2, maximal_dihedral, orbit_decomposition,
+    dihedral_coefficients, dihedral_group, edge_permutation,
+    fundamental_region, maximal_dihedral, orbit_decomposition,
 )
 
 F = Fraction
@@ -24,6 +24,19 @@ F = Fraction
 
 def M(rows):
     return RatMatrix.from_rows(rows)
+
+
+def inverse2(m: RatMatrix) -> RatMatrix:
+    a, b, c, d = m.entries
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("singular matrix")
+    return RatMatrix.from_rows([[d / det, -b / det], [-c / det, a / det]])
+
+
+def dual_matrix(m: RatMatrix) -> RatMatrix:
+    """Action induced on normal vectors by x -> m x (inverse transpose)."""
+    return inverse2(m.transpose())
 
 
 SQUARE = polygon_from_vertices([(-1, -1), (1, -1), (1, 1), (-1, 1)])
@@ -227,24 +240,44 @@ def _all_fold_shapes():
     ]
 
 
+def _check_partition(p, group):
+    """The fold's kind, and whether fundamental_region swapped the
+    generators; asserts that the edge permutations, composed along each
+    word from the generators', agree with a fresh edge_permutation for
+    every element, and that the slot orbits partition the edges."""
+    fr = fundamental_region(p, group)
+    # the stored table is keyed by the final group's words
+    assert sorted(fr.edge_perms) == sorted(e.word for e in fr.group.elements)
+    for e in fr.group.elements:
+        assert fr.edge_perms[e.word] == edge_permutation(p, e.matrix)
+    decomp = orbit_decomposition(fr)
+    covered = [k for entries in decomp.values() for _, k in entries]
+    covered += [fr.parent_of[i] for i in fr.cross_edges]
+    assert sorted(covered) == list(range(p.m))
+    return fr.kind, fr.group != group
+
+
 def test_orbit_decomposition_partitions():
-    kinds = set()
-    swapped = 0
-    for p, group in _all_fold_shapes():
-        fr = fundamental_region(p, group)
-        kinds.add(fr.kind)
-        swapped += fr.group != group
-        # the stored table is keyed by the final group's words and agrees
-        # with a fresh edge_permutation for every element
-        assert sorted(fr.edge_perms) == sorted(e.word for e in fr.group.elements)
-        for e in fr.group.elements:
-            assert fr.edge_perms[e.word] == edge_permutation(p, e.matrix)
-        decomp = orbit_decomposition(fr)
-        covered = [k for entries in decomp.values() for _, k in entries]
-        covered += [fr.parent_of[i] for i in fr.cross_edges]
-        assert sorted(covered) == list(range(p.m))
-    assert kinds == {"1-1", "1-2", "1-3", "2-1", "2-2", "2-3"}
-    assert swapped == 2
+    results = [_check_partition(p, g) for p, g in _all_fold_shapes()]
+    assert {kind for kind, _ in results} == {
+        "1-1", "1-2", "1-3", "2-1", "2-2", "2-3"}
+    assert sum(swapped for _, swapped in results) == 2
+
+
+def test_orbit_decomposition_partitions_generated_folds():
+    """All 15 family/shape pairs, each dihedral group also handed over with
+    its generators exchanged, so that every 2-2 fold is reached once
+    through the swapped recursion of the region builder."""
+    from test_closed_forms import GENERATED
+
+    results = []
+    for p, group in GENERATED:
+        results.append(_check_partition(p, group))
+        if isinstance(group, DihedralGroup):
+            results.append(_check_partition(p, group.swapped()))
+    assert len(results) == 27
+    swapped_kinds = [kind for kind, swapped in results if swapped]
+    assert swapped_kinds.count("2-2") == 4
 
 
 def test_lattice_change_of_coordinates_keeps_the_labels():
