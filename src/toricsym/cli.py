@@ -122,8 +122,8 @@ def _index(kind: str, text: str) -> int:
     return int(text)
 
 
-def _matrix_lists(mat) -> list:
-    return [[format_rational(x) for x in mat.row(i)] for i in range(mat.rows)]
+def _matrix_lists(rows) -> list:
+    return [[format_rational(x) for x in row] for row in rows]
 
 
 # -- subcommand payloads -----------------------------------------------------
@@ -131,10 +131,11 @@ def _matrix_lists(mat) -> list:
 
 def run_analyze(name: str, p: RationalPolygon) -> tuple[int, dict, list[str]]:
     nonadj = nonadjacent_pairs(p.m)
+    area = format_rational(p.area())
     payload = {
         "name": name,
         "m": p.m,
-        "area": format_rational(p.area()),
+        "area": area,
         "vertices": [[format_rational(x), format_rational(y)]
                      for x, y in p.vertices],
         "edges": [{"normal": list(e.normal), "offset": format_rational(e.offset)}
@@ -142,7 +143,7 @@ def run_analyze(name: str, p: RationalPolygon) -> tuple[int, dict, list[str]]:
         "nonadjacent_pairs": nonadj,
     }
     lines = [f"polygon: {name} (m = {p.m})",
-             f"area: {format_rational(p.area())}",
+             f"area: {area}",
              "vertices: " + ", ".join(format_point(v) for v in p.vertices),
              "edges:"]
     for i, e in enumerate(p.edges):
@@ -179,7 +180,8 @@ def run_symmetries(name: str, p: RationalPolygon) -> tuple[int, dict, list[str]]
     payload = {
         "name": name,
         "reflections": [{"index": k, "mirror_normal": list(r.mirror_normal),
-                         "matrix": _matrix_lists(r.matrix)}
+                         "matrix": _matrix_lists((r.matrix[:2],
+                                                  r.matrix[2:]))}
                         for k, r in enumerate(refs)],
         "maximal_dihedral": ({"ell": best_ell, "order": 2 * best_ell,
                               "generating_pairs": maximal}

@@ -42,8 +42,8 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegeneratePairing, NotASymmetry, UnexpectedBettiNumber
-from .exactlin import Rat, RatMatrix, Vec, rank
-from .geometry import RationalPolygon, cross
+from .exactlin import Rat, Vec, rank
+from .geometry import RationalPolygon, cross, format_rational
 
 Row = dict[int, Rat]                # a linear form: x_i -> nonzero coefficient
 _ZERO = Fraction(0)
@@ -57,7 +57,7 @@ def row_str(row: Row, names: Optional[Mapping[int, str]] = None) -> str:
     for i in sorted(row):
         c, label = row[i], (names or {}).get(i, f"x{i}")
         parts.append(label if c == 1 else f"-{label}" if c == -1
-                     else f"{c}*{label}")
+                     else f"{format_rational(c)}*{label}")
     return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -76,12 +76,13 @@ class CohomologyRing:
         return self.polygon.m
 
     @cached_property
-    def pairing(self) -> RatMatrix:
-        """The degree-2 intersection pairing on deg2_basis, built on first
-        use: only its printout needs the dense matrix."""
+    def pairing(self) -> tuple[tuple[Rat, ...], ...]:
+        """The degree-2 intersection pairing on deg2_basis as a tuple of
+        rows, built on first use: only its printout needs the dense
+        matrix."""
         t = self.product_table
-        return RatMatrix.from_rows(
-            [[t[a][b] for b in self.deg2_basis] for a in self.deg2_basis])
+        return tuple(tuple(t[a][b] for b in self.deg2_basis)
+                     for a in self.deg2_basis)
 
     def deg2_class(self, row: Row) -> Vec:
         """Coordinates on deg2_basis of the class of a linear form: x_0 and

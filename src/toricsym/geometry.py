@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -24,7 +25,7 @@ from .errors import (
     CollinearTriple, NotConvex, OriginNotInterior, RedundantHalfspace,
     Unbounded, ZeroVector,
 )
-from .exactlin import Rat, RatMatrix, Vec, vec
+from .exactlin import Rat, vec
 
 Point = tuple[Rat, Rat]
 IntVec = tuple[int, int]
@@ -88,10 +89,13 @@ def parse_rational(value) -> Rat:
 
 
 def format_rational(x: Rat) -> str:
+    """x as "p" or "p/q", exact at any length: str(int) refuses more digits
+    than sys.get_int_max_str_digits(), a limit that guards the parsing of
+    input, while an integral Decimal is exact and prints every digit."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def format_point(v: Sequence) -> str:
@@ -323,11 +327,6 @@ def polygon_from_json(obj: dict) -> tuple[str, RationalPolygon]:
             hs.append(((int(n[0]), int(n[1])), parse_rational(entry["offset"])))
         return name, polygon_from_halfspaces(hs)
     raise ValueError("polygon JSON needs a 'vertices' or 'halfspaces' key")
-
-
-def apply_linear(mat: RatMatrix, p: RationalPolygon) -> RationalPolygon:
-    """Image of a polygon under an invertible linear map (vertex-wise)."""
-    return polygon_from_vertices([mat.mat_vec(v) for v in p.vertices])
 
 
 def clip_halfplane(points: Sequence[Point], normal: Sequence,

@@ -6,21 +6,22 @@ coordinates in the dual coweight basis, so that the pairing between a point
 and a normal is the plain dot product of coordinate tuples. In these
 coordinates the generator action on normals sends the j-th coordinate
 covector to itself minus delta_ij times the i-th Cartan row, and the action
-on points is the transpose.
+on points is the transpose. Both actions are Mat2, integer matrices given
+row-major (see toricsym.symmetry).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DegenerateOffsets, RedundantHalfspace, Unbounded
-from .exactlin import Rat, RatMatrix
+from .exactlin import Rat
 from .geometry import RationalPolygon, format_point, polygon_from_halfspaces
 from .symmetry import (
-    DihedralGroup, FundamentalRegion, Reflection, dihedral_coefficients,
-    dihedral_group, fundamental_region,
+    IDENTITY, DihedralGroup, FundamentalRegion, Mat2, Reflection,
+    dihedral_coefficients, dihedral_group, fundamental_region, mul,
 )
 
 # Cartan matrices, rows = simple coroots in the dual coweight basis. The
@@ -40,8 +41,8 @@ ROTATION_ORDER = {"A2": 3, "B2": 4, "C2": 4, "G2": 6}
 class RootSystem:
     tag: str
     cartan: tuple[tuple[int, int], tuple[int, int]]
-    normal_action: tuple[RatMatrix, RatMatrix]  # generators on normal coords
-    point_action: tuple[RatMatrix, RatMatrix]   # transposes, on point coords
+    normal_action: tuple[Mat2, Mat2]  # generators on normal coords
+    point_action: tuple[Mat2, Mat2]   # transposes, on point coords
 
     @property
     def rotation_order(self) -> int:
@@ -66,26 +67,17 @@ def root_system(tag: str) -> RootSystem:
     if tag not in CARTAN:
         raise ValueError(f"unknown root system {tag!r}; pick one of "
                          + ", ".join(sorted(CARTAN)))
-    cartan = CARTAN[tag]
-    mats = []
-    for i in (0, 1):
-        cols = []
-        for j in (0, 1):
-            img = [Fraction(1) if k == j else Fraction(0) for k in (0, 1)]
-            if i == j:
-                img = [img[k] - cartan[i][k] for k in (0, 1)]
-            cols.append(img)
-        mats.append(RatMatrix.from_rows(
-            [[cols[0][r], cols[1][r]] for r in (0, 1)]))
-    n1, n2 = mats
-    rs = RootSystem(tag, cartan, (n1, n2), (n1.transpose(), n2.transpose()))
-    ident = RatMatrix.identity(2)
-    assert n1 @ n1 == ident and n2 @ n2 == ident
-    rot = n1 @ n2
-    power = ident
+    cartan = (a, b), (c, d) = CARTAN[tag]
+    # column j of generator i is e_j, less the i-th Cartan row when i == j
+    n1, n2 = (1 - a, 0, -b, 1), (1, -c, 0, 1 - d)
+    rs = RootSystem(tag, cartan, (n1, n2), tuple(
+        (g[0], g[2], g[1], g[3]) for g in (n1, n2)))
+    assert mul(n1, n1) == IDENTITY and mul(n2, n2) == IDENTITY
+    rot = mul(n1, n2)
+    power = IDENTITY
     for _ in range(ROTATION_ORDER[tag]):
-        power = power @ rot
-    assert power == ident
+        power = mul(power, rot)
+    assert power == IDENTITY
     return rs
 
 
@@ -98,9 +90,8 @@ def normal_orbit(rs: RootSystem, start: Sequence[int]) -> tuple[tuple[int, int],
     while frontier:
         nxt = []
         for v in frontier:
-            for g in rs.normal_action:
-                w = g.mat_vec(v)
-                w = (int(w[0]), int(w[1]))
+            for a, b, c, d in rs.normal_action:
+                w = (a * v[0] + b * v[1], c * v[0] + d * v[1])
                 if w not in seen:
                     seen.append(w)
                     nxt.append(w)

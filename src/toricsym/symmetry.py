@@ -7,17 +7,19 @@ surface. A single mirror is the dihedral group of order 2, {id, sigma} with
 words () and (1,): one region builder, one edge-permutation table, one
 orbit decomposition and one coefficient table serve both kinds of group.
 
-The group acts by integer arithmetic. Each vertex (x, y) is the reduced
-triple (X, Y, D) with (x, y) = (X, Y)/D and D the lcm of that vertex's own
-two denominators. A map in GL2(Z) keeps gcd(X, Y), so it sends a reduced
-triple to the reduced triple (g(X, Y), D): mapping a vertex costs four
-integer products, and a lattice mirror pairs vertices of equal D only. A
-common denominator for the whole polygon would be the lcm of all of them,
-thousands of bits for a generated polygon with m in the thousands, and
-every product would pay for it. Group elements are multiplied as integer
-4-tuples, each word's matrix from its prefix's, and only the generators
-map vertices: every other element's edge permutation is composed from
-theirs along its word.
+A lattice map is a Mat2: the integer entries (a, b, c, d) of the matrix
+(a b; c d), row-major. Reflections, group elements and the Weyl group
+generators of toricsym.rootsystems are all Mat2; no map is a Fraction
+matrix. Each vertex (x, y) is the reduced triple (X, Y, D) with (x, y) =
+(X, Y)/D and D the lcm of that vertex's own two denominators. A map in
+GL2(Z) keeps gcd(X, Y), so it sends a reduced triple to the reduced triple
+(g(X, Y), D): mapping a vertex costs four integer products, and a lattice
+mirror pairs vertices of equal D only. A common denominator for the whole
+polygon would be the lcm of all of them, thousands of bits for a generated
+polygon with m in the thousands, and every product would pay for it. Group
+elements are multiplied as Mat2, each word's matrix from its prefix's, and
+only the generators map vertices: every other element's edge permutation is
+composed from theirs along its word.
 
 The fundamental region is the polygon clipped by each chosen mirror normal
 eta in turn, to its side <x, eta> <= 0. A mirror's half-plane is the wedge
@@ -52,65 +54,56 @@ from .errors import (
     CaseMismatch, EllTooSmall, InconsistentGeometry,
     NotASymmetry, NotFiniteOrder, OrientationAmbiguous, PartitionFailure,
 )
-from .exactlin import Rat, RatMatrix
+from .exactlin import Rat
 from .geometry import (
     IntVec, RationalPolygon, _region_polygon, clip_halfplane, cross, dot,
     format_point, format_rational, primitive,
 )
 
 
-@dataclass(frozen=True)
-class Reflection:
-    """An orientation-reversing involution preserving some polygon."""
-
-    matrix: RatMatrix
-    mirror_normal: IntVec  # primitive, sign-canonical; the fixed line is its kernel
-
-    @staticmethod
-    def from_matrix(matrix: RatMatrix) -> "Reflection":
-        if not _integral(matrix):
-            raise NotASymmetry("the matrix is not a lattice map: a "
-                               "reflection must have integer entries")
-        g = _ints(matrix)
-        a, b, c, d = g
-        if a * d - b * c != -1:
-            raise NotASymmetry("a reflection must have determinant -1")
-        if _mul(g, g) != (1, 0, 0, 1):
-            raise NotASymmetry("a reflection must be an involution")
-        # (g - 1)(g + 1) = 0: a nonzero column of g + 1 spans the fixed line
-        dvec = (a + 1, c) if (a + 1, c) != (0, 0) else (b, d + 1)
-        eta = primitive((dvec[1], -dvec[0]))
-        if eta[0] < 0 or (eta[0] == 0 and eta[1] < 0):
-            eta = (-eta[0], -eta[1])
-        return Reflection(matrix, eta)
-
-    @property
-    def elements(self) -> tuple["GroupElement", "GroupElement"]:
-        """The order-2 group (id, sigma), with words () and (1,), so that a
-        single mirror reads like a dihedral group wherever elements are
-        enumerated."""
-        return (GroupElement((), RatMatrix.identity(2)),
-                GroupElement((1,), self.matrix))
+Mat2 = tuple[int, int, int, int]  # (a, b, c, d) is the matrix (a b; c d)
+IDENTITY: Mat2 = (1, 0, 0, 1)
 
 
-def _integral(matrix: RatMatrix) -> bool:
-    return all(x.denominator == 1 for x in matrix.entries)
-
-
-def _ints(matrix: RatMatrix) -> tuple[int, ...]:
-    """The entries of an integral matrix as ints."""
-    return tuple(x.numerator for x in matrix.entries)
-
-
-def _mul(g: Sequence[int], h: Sequence[int]) -> tuple[int, int, int, int]:
+def mul(g: Sequence[int], h: Sequence[int]) -> Mat2:
     """The product g h of two 2 x 2 integer matrices given row-major."""
     a, b, c, d = g
     e, f, k, l = h
     return (a * e + b * k, a * f + b * l, c * e + d * k, c * f + d * l)
 
 
-def _rat(g: Sequence[int]) -> RatMatrix:
-    return RatMatrix(2, 2, tuple(map(Fraction, g)))
+@dataclass(frozen=True)
+class Reflection:
+    """An orientation-reversing involution preserving some polygon."""
+
+    matrix: Mat2
+    mirror_normal: IntVec  # primitive, sign-canonical; the fixed line is its kernel
+
+    @staticmethod
+    def from_matrix(entries: Sequence) -> "Reflection":
+        """The reflection with the four row-major entries a, b, c, d, which
+        may be given as any rationals."""
+        if any(x != int(x) for x in entries):
+            raise NotASymmetry("the matrix is not a lattice map: a "
+                               "reflection must have integer entries")
+        g = a, b, c, d = tuple(int(x) for x in entries)
+        if a * d - b * c != -1:
+            raise NotASymmetry("a reflection must have determinant -1")
+        if mul(g, g) != IDENTITY:
+            raise NotASymmetry("a reflection must be an involution")
+        # (g - 1)(g + 1) = 0: a nonzero column of g + 1 spans the fixed line
+        dvec = (a + 1, c) if (a + 1, c) != (0, 0) else (b, d + 1)
+        eta = primitive((dvec[1], -dvec[0]))
+        if eta[0] < 0 or (eta[0] == 0 and eta[1] < 0):
+            eta = (-eta[0], -eta[1])
+        return Reflection(g, eta)
+
+    @property
+    def elements(self) -> tuple["GroupElement", "GroupElement"]:
+        """The order-2 group (id, sigma), with words () and (1,), so that a
+        single mirror reads like a dihedral group wherever elements are
+        enumerated."""
+        return (GroupElement((), IDENTITY), GroupElement((1,), self.matrix))
 
 
 def _triples(p: RationalPolygon) -> list[tuple[int, int, int]]:
@@ -124,27 +117,32 @@ def _triples(p: RationalPolygon) -> list[tuple[int, int, int]]:
     return out
 
 
-def vertex_permutation(p: RationalPolygon, matrix: RatMatrix) -> tuple[int, ...]:
+def vertex_permutation(p: RationalPolygon, matrix: Mat2) -> tuple[int, ...]:
     """tau with matrix * vertices[i] == vertices[tau[i]]; NotASymmetry if the
     vertex set is not preserved."""
-    # a non-integral matrix reads as 0 here and keeps the Fraction route
-    a, b, c, d = _ints(matrix) if _integral(matrix) else (0, 0, 0, 0)
+    a, b, c, d = matrix
+    triples = _triples(p)
+    index = {t: i for i, t in enumerate(triples)}
     if a * d - b * c in (1, -1):
         # a lattice map keeps each reduced triple reduced, with the same D
-        triples = _triples(p)
-        index = {t: i for i, t in enumerate(triples)}
         images = [index.get((a * x + b * y, c * x + d * y, e))
                   for x, y, e in triples]
     else:
-        index = {v: i for i, v in enumerate(p.vertices)}
-        images = [index.get(matrix.mat_vec(v)) for v in p.vertices]
+        # any other map may leave a common factor in the image triple
+        images = [index.get(_reduced(a * x + b * y, c * x + d * y, e))
+                  for x, y, e in triples]
     if None in images:
         v = p.vertices[images.index(None)]
         raise NotASymmetry(f"image of vertex {format_point(v)} is not a vertex")
     return tuple(images)
 
 
-def edge_permutation(p: RationalPolygon, matrix: RatMatrix) -> tuple[int, ...]:
+def _reduced(x: int, y: int, e: int) -> tuple[int, int, int]:
+    g = gcd(x, y, e)
+    return (x // g, y // g, e // g)
+
+
+def edge_permutation(p: RationalPolygon, matrix: Mat2) -> tuple[int, ...]:
     """pi with matrix * (edge i) == edge pi[i] as point sets."""
     tau = vertex_permutation(p, matrix)
     m = p.m
@@ -185,14 +183,14 @@ def detect_reflections(p: RationalPolygon) -> tuple[Reflection, ...]:
         a, b, c, d = (n // det for n in num)
         if all((a * x + b * y, c * x + d * y, e) == tr[k - i]
                for i, (x, y, e) in enumerate(tr)):
-            found.append(Reflection.from_matrix(_rat((a, b, c, d))))
+            found.append(Reflection.from_matrix((a, b, c, d)))
     return tuple(found)
 
 
 @dataclass(frozen=True)
 class GroupElement:
     word: tuple[int, ...]  # letters 1 and 2; (a, b) acts as s_a after s_b
-    matrix: RatMatrix
+    matrix: Mat2
 
     @property
     def name(self) -> str:
@@ -248,10 +246,9 @@ def _ell(r1: Reflection, r2: Reflection) -> int:
     """The order of the rotation s1*s2. A finite-order element of GL2(Q)
     with determinant 1 has order 1, 2, 3, 4 or 6: order 2 means -I, and
     orders 3, 4 and 6 are exactly traces -1, 0 and 1."""
-    g1, g2 = _ints(r1.matrix), _ints(r2.matrix)
-    if g1 == g2:
+    if r1.matrix == r2.matrix:
         raise EllTooSmall("the two generators coincide")
-    rot = _mul(g1, g2)
+    rot = mul(r1.matrix, r2.matrix)
     if rot == (-1, 0, 0, -1):
         return 2
     ell = {-1: 3, 0: 4, 1: 6}.get(rot[0] + rot[3])
@@ -264,19 +261,19 @@ def _generated(r1: Reflection, r2: Reflection, ell: int) -> DihedralGroup:
     """The group of order 2*ell with generators s1 = r1, s2 = r2, one
     element per reduced word; each word's matrix is its prefix's matrix
     times its last letter."""
-    gens = {1: _ints(r1.matrix), 2: _ints(r2.matrix)}
+    gens = {1: r1.matrix, 2: r2.matrix}
     words = [()]
     for k in range(1, ell):
         words.append(_alternating_word(k, last=1))
         words.append(_alternating_word(k, last=2))
     words.append(tuple(1 if j % 2 == 0 else 2 for j in range(ell)))
-    mats = {(): (1, 0, 0, 1)}
+    mats = {(): IDENTITY}
     for w in words[1:]:
-        mats[w] = _mul(mats[w[:-1]], gens[w[-1]])
+        mats[w] = mul(mats[w[:-1]], gens[w[-1]])
     if len(set(mats.values())) != 2 * ell:
         raise NotFiniteOrder("generators do not generate a dihedral group "
                              "of the computed order")
-    elements = tuple(GroupElement(w, _rat(mats[w])) for w in words)
+    elements = tuple(GroupElement(w, mats[w]) for w in words)
     return DihedralGroup(r1, r2, ell, elements)
 
 
@@ -361,21 +358,23 @@ def _match_parents(p: RationalPolygon, region: RationalPolygon,
 
 
 def _region(p: RationalPolygon, group: "Reflection | DihedralGroup",
-            etas: tuple[IntVec, ...], perms: dict[RatMatrix, tuple[int, ...]],
-            warnings: tuple[str, ...]) -> FundamentalRegion:
+            etas: tuple[IntVec, ...], perms: dict[Mat2, tuple[int, ...]],
+            area: Rat, warnings: tuple[str, ...]) -> FundamentalRegion:
     """Clip p by each eta in turn and label the region's edges.
 
     The mirror edges meet the boundary of p at two rays' ends (both ends of
     a mirror's chord, the far end of each wedge edge), and the other region
     edges form one arc between them. A ray ends at a vertex of p or crosses
-    the edge that the arc's end edge comes from.
+    the edge that the arc's end edge comes from. area is p.area(), and
+    perms maps each element's matrix to its edge permutation: the swapped
+    group names the same matrices by other words.
     """
     pts = p.vertices
     for eta in etas:
         pts = clip_halfplane(pts, eta)
     region = _region_polygon(pts)
     order = len(group.elements)
-    if region.area() * order != p.area():
+    if region.area() * order != area:
         raise InconsistentGeometry("region area is not area(P)/|W|")
     mirrors, parents = _match_parents(p, region, etas)
     if sorted(mirrors.values()) != list(range(len(etas))):
@@ -410,7 +409,7 @@ def _region(p: RationalPolygon, group: "Reflection | DihedralGroup",
             exits.reverse()
         if [f for f, _ in exits] == ["vertex", "edge"]:
             return _region(
-                p, group.swapped(), etas[::-1], perms,
+                p, group.swapped(), etas[::-1], perms, area,
                 warnings + ("generators reordered so that the mirror "
                             "crossing an edge interior is s1",))
         cross_edges, slots = (), arc
@@ -453,6 +452,7 @@ def fundamental_region(p: RationalPolygon,
             head, rest = by_word[e.word[:1]], by_word[e.word[1:]]
             by_word[e.word] = tuple(head[k] for k in rest)
     perms = {e.matrix: by_word[e.word] for e in group.elements}
+    area = p.area()
     warnings: tuple[str, ...] = ()
     if isinstance(group, Reflection):
         normals: tuple[IntVec, ...] = (group.mirror_normal,)
@@ -471,14 +471,14 @@ def fundamental_region(p: RationalPolygon,
             raise OrientationAmbiguous(
                 "chamber hint lies on a mirror line and selects no candidate")
         try:
-            return _region(p, group, chosen[0], perms, warnings)
+            return _region(p, group, chosen[0], perms, area, warnings)
         except InconsistentGeometry as exc:
             raise OrientationAmbiguous(
                 f"chamber hint does not select a fundamental wedge: {exc}")
     candidates = []
     for etas in sign_sets:
         try:
-            candidates.append(_region(p, group, etas, perms, warnings))
+            candidates.append(_region(p, group, etas, perms, area, warnings))
         except InconsistentGeometry:
             continue
     if not candidates:

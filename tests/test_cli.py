@@ -47,6 +47,28 @@ def test_analyze_text_and_json(capsys):
     assert [0, 2] in obj["nonadjacent_pairs"]
 
 
+def test_analyze_prints_an_area_beyond_the_digit_limit(tmp_path, capsys):
+    """The area of the mirror polygon with m = 2001 has a denominator of
+    16 575 bits, more digits than str(int) prints; analyze prints it exactly.
+    The text report is read: the JSON one lists the two million nonadjacent
+    pairs one number per line."""
+    from decimal import Decimal
+    from test_closed_forms import gen
+    from toricsym.geometry import polygon_from_vertices
+
+    inst = gen.generate("mirror", "1-2", 1000, 3)
+    path = tmp_path / "mirror-1-2-m2001.json"
+    path.write_text(json.dumps(inst.to_json()))
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert (code, err) == (0, "")
+    area = polygon_from_vertices(inst.vertices).area()
+    assert area.denominator.bit_length() == 16575
+    (line,) = [s for s in out.splitlines() if s.startswith("area: ")]
+    num, den = line.removeprefix("area: ").split("/")
+    assert (int(Decimal(num)), int(Decimal(den))) == (
+        area.numerator, area.denominator)
+
+
 def test_symmetries_json(capsys):
     code, out, _ = run(capsys, "symmetries", "--builtin", "g2",
                        "--format", "json")
@@ -318,9 +340,8 @@ def test_error_messages_print_rationals_not_reprs(tmp_path, capsys):
     assert err.startswith("error: DegenerateOffsets: offsets (-1/2, -1/2) ")
     from toricsym.catalog import house_pentagon
     from toricsym.errors import NotASymmetry
-    from toricsym.exactlin import RatMatrix
     from toricsym.symmetry import vertex_permutation
-    flip = RatMatrix.from_rows([[1, 0], [0, -1]])
+    flip = (1, 0, 0, -1)
     with pytest.raises(NotASymmetry) as info:
         vertex_permutation(house_pentagon(), flip)
     assert "Fraction(" not in str(info.value)

@@ -2,9 +2,11 @@
 
 Each case is one command line; the expected exit code, stdout and stderr
 live in tests/data/cli_golden.json. Keys without a suffix are `--format
-json` runs; keys ending in " text" are `--format text` runs, whose
-`group:` line is the only place the CLI describes the selected group. Refactors of the symmetry bookkeeping
-must leave every one of them identical. After an intended change of
+json` runs; keys ending in " text" are `--format text` runs. The `verify`
+text's `group:` line is the only place the CLI describes the selected
+group; `betti` prints the intersection pairing and `rootdemo` the weight
+polytopes built from the Weyl group matrices. Refactors of the symmetry
+and linear-algebra bookkeeping must leave every one of them identical. After an intended change of
 output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -45,9 +47,17 @@ def cases() -> dict[str, list[str]]:
     for name in ("house", "ninegon"):
         out[f"verify --input {name}"] = [
             "verify", "--input", os.path.join(DATA, f"{name}.json")]
+    for command in ("analyze", "betti"):
+        for name in BUILTIN_NAMES:
+            out[f"{command} {name}"] = [command, "--builtin", name]
+        for name in ("house", "ninegon"):
+            out[f"{command} --input {name}"] = [
+                command, "--input", os.path.join(DATA, f"{name}.json")]
+    for rstype in ("A2", "B2", "C2", "G2"):
+        out[f"rootdemo {rstype}"] = ["rootdemo", "--type", rstype]
     full = {k: argv + ["--format", "json"] for k, argv in out.items()}
     for key, argv in out.items():
-        if argv[0] == "verify":
+        if argv[0] != "symmetries":
             full[f"{key} text"] = argv + ["--format", "text"]
     return full
 

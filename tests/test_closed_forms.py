@@ -4,7 +4,7 @@ Every small system of the fold pipeline is 2 x 2 or 2 x 1, and the package
 solves each one in closed form: Cramer's rule for the degree-2 classes of x_0
 and x_1 and for a wedge's normal jump, a projection for a mirror's, and a
 column of g + 1 for a reflection's fixed line. Here each one is compared with
-the elimination it replaced (exactlin.rref, exactlin.kernel_basis) or with
+the elimination it replaced (rref and kernel_basis of tests/ratmatrix.py) or with
 sympy's exact solver, on the corpus, on the fold regions of every fold shape
 and on generated polygons of all six shapes (bench/generators.py, read as a
 plain module). On the generated folds, the degree-2 invariants from orbit
@@ -30,12 +30,13 @@ from pathlib import Path
 
 import sympy
 
+from ratmatrix import RatMatrix, kernel_basis, rref
 from test_cohomology import deg2_rows, kernel_invariants, permuted, sympy_det
 from test_symmetry import _all_fold_shapes
 
 from toricsym.catalog import corpus
 from toricsym.cohomology import cohomology_ring, invariant_deg2, orbit_sums
-from toricsym.exactlin import RatMatrix, kernel_basis, rank, rref, spans_equal
+from toricsym.exactlin import rank, spans_equal
 from toricsym.geometry import cross, polygon_from_vertices, primitive
 from toricsym.symmetry import (
     Reflection, coefficient_pair, detect_reflections, dihedral_coefficients,
@@ -139,7 +140,8 @@ def test_reflection_normal_matches_the_kernel():
         eta = primitive((fixed[1], -fixed[0]))
         if eta < (0, 0):
             eta = (-eta[0], -eta[1])
-        assert Reflection.from_matrix(g).mirror_normal == eta, (a, b, c, d)
+        assert (Reflection.from_matrix((a, b, c, d)).mirror_normal
+                == eta), (a, b, c, d)
     assert count > 20
 
 

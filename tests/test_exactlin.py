@@ -1,4 +1,5 @@
-"""Exact linear algebra tests.
+"""Exact linear algebra tests: the library's sparse rank and spans_equal,
+and the dense rref and kernel_basis oracles of tests/ratmatrix.py.
 
 Frozen expected values were derived by hand first (the eliminations are noted
 inline); property tests compare against sympy's independent implementation.
@@ -9,9 +10,8 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from toricsym.exactlin import (
-    RatMatrix, kernel_basis, rank, rref, spans_equal,
-)
+from ratmatrix import RatMatrix, kernel_basis, rref
+from toricsym.exactlin import rank, spans_equal
 
 F = Fraction
 
@@ -93,7 +93,7 @@ def test_rref_matches_sympy_oracle(a):
 @given(matrices())
 def test_rank_nullity_and_kernel_vectors(a):
     ker = kernel_basis(a)
-    assert rank(a) + len(ker) == a.cols
+    assert rank(a.row_list()) + len(ker) == a.cols
     zero = (F(0),) * a.rows
     for v in ker:
         assert a.mat_vec(v) == zero
@@ -134,14 +134,14 @@ def structured_matrices(draw):
 @settings(deadline=None, max_examples=150)
 @given(structured_matrices())
 def test_sparse_rank_matches_sympy_in_every_row_form(a):
-    """rank takes a RatMatrix, dense rows or {column: value} rows alike, and
-    agrees with sympy's Matrix.rank() on each; spans_equal finds that the
-    rows span the row space of sympy's reduced echelon form."""
+    """rank takes dense rows or {column: value} rows alike, and agrees with
+    sympy's Matrix.rank() on each; spans_equal finds that the rows span the
+    row space of sympy's reduced echelon form."""
     smat = sympy.Matrix(a.row_list())
     want = smat.rank()
     dict_rows = [{j: x for j, x in enumerate(r) if x} for r in a.row_list()]
-    assert rank(a) == rank(a.row_list()) == rank(dict_rows) == want
-    assert rank(a.transpose()) == want
+    assert rank(a.row_list()) == rank(dict_rows) == want
+    assert rank(a.transpose().row_list()) == want
     echelon = [[F(x.p, x.q) for x in row] for row in smat.rref()[0].tolist()]
     assert spans_equal(dict_rows, echelon[:want])
 

@@ -6,6 +6,7 @@ sorting-based constructor existed; the oracle stays here as the independent
 route.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,9 +17,9 @@ from toricsym.errors import (
     CollinearTriple, NotConvex, OriginNotInterior, RedundantHalfspace,
     Unbounded, ZeroVector,
 )
-from toricsym.exactlin import RatMatrix
+from ratmatrix import RatMatrix, apply_linear
 from toricsym.geometry import (
-    apply_linear, clip_halfplane, cross, dot, format_rational,
+    clip_halfplane, cross, dot, format_rational,
     nonadjacent_pairs, parse_rational, polygon_from_halfspaces,
     polygon_from_json, polygon_from_vertices, primitive, pt,
 )
@@ -234,6 +235,35 @@ def test_parse_rational_strict():
             parse_rational(bad)
     assert format_rational(F(-3, 4)) == "-3/4"
     assert format_rational(F(8, 4)) == "2"
+
+
+def _chunked_digits(n: int) -> str:
+    """n >= 0 in decimal, 50 digits at a time, each chunk below the limit
+    of str(int)."""
+    chunks = []
+    while True:
+        n, r = divmod(n, 10**50)
+        chunks.append(f"{r:050d}")
+        if not n:
+            return "".join(reversed(chunks)).lstrip("0") or "0"
+
+
+def test_format_rational_prints_every_digit_beyond_the_str_limit():
+    """str(int) refuses more than sys.get_int_max_str_digits() digits (4300
+    by default); format_rational prints them all, and leaves the limit,
+    which guards the parsing of input, where it was."""
+    from toricsym.cohomology import row_str
+
+    limit = sys.get_int_max_str_digits()
+    n = 7 ** 6000  # 5071 digits
+    assert len(_chunked_digits(n)) == 5071 > limit
+    with pytest.raises(ValueError):
+        str(n)
+    assert format_rational(n) == _chunked_digits(n)
+    assert format_rational(F(-n, 3)) == f"-{_chunked_digits(n)}/3"
+    assert format_rational(F(2, n)) == f"2/{_chunked_digits(n)}"
+    assert row_str({4: F(2, n), 5: F(1)}) == f"2/{_chunked_digits(n)}*x4 + x5"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_polygon_json_roundtrip():

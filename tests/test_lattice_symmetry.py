@@ -1,25 +1,25 @@
 """The integer symmetry layer against its Fraction oracles.
 
 detect_reflections, dihedral_group, maximal_dihedral, vertex_permutation and
-the composed edge permutations of fundamental_region work on integer
-matrices and on each vertex's reduced triple (X, Y, D). Each is compared
-here with the Fraction route it replaced: the candidate map
-target @ inverse2(basis) scanned by mat_vec, each group element multiplied
-out from the identity, every mirror pair's group built in full, and one
-Fraction image per vertex.
+the composed edge permutations of fundamental_region work on Mat2 integer
+4-tuples and on each vertex's reduced triple (X, Y, D). Each is compared
+here with the Fraction route it replaced, on the RatMatrix of
+tests/ratmatrix.py: the candidate map target @ inverse2(basis) scanned by
+mat_vec, each group element multiplied out from the identity, every mirror
+pair's group built in full, and one Fraction image per vertex.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from ratmatrix import RatMatrix, apply_linear, inverse2, mat2, rat
 from test_closed_forms import gen
-from test_symmetry import SQUARE, inverse2
+from test_symmetry import SQUARE
 
 from toricsym.catalog import corpus
 from toricsym.errors import EllTooSmall, NotASymmetry, NotFiniteOrder
-from toricsym.exactlin import RatMatrix
-from toricsym.geometry import apply_linear, polygon_from_vertices
+from toricsym.geometry import polygon_from_vertices
 from toricsym.symmetry import (
     DihedralGroup, GroupElement, Reflection, detect_reflections,
     dihedral_group, maximal_dihedral, vertex_permutation,
@@ -48,14 +48,14 @@ def detect_reflections_oracle(p):
         cand = RatMatrix.from_rows([[t0[0], t1[0]], [t0[1], t1[1]]]) @ binv
         if all(x.denominator == 1 for x in cand.entries) and all(
                 cand.mat_vec(vs[i]) == vs[(k - i) % m] for i in range(m)):
-            found.append(Reflection.from_matrix(cand))
+            found.append(Reflection.from_matrix(cand.entries))
     return tuple(found)
 
 
 def dihedral_group_oracle(r1, r2):
     """ell by powering the rotation s1*s2, and each reduced word's matrix
     multiplied out from the identity."""
-    rot = r1.matrix @ r2.matrix
+    rot = rat(r1.matrix) @ rat(r2.matrix)
     power, ell = rot, 1
     while power != ID:
         power, ell = power @ rot, ell + 1
@@ -66,13 +66,13 @@ def dihedral_group_oracle(r1, r2):
             words.append(tuple(last if (k - 1 - j) % 2 == 0 else 3 - last
                                for j in range(k)))
     words.append(tuple(1 if j % 2 == 0 else 2 for j in range(ell)))
-    gens = {1: r1.matrix, 2: r2.matrix}
+    gens = {1: rat(r1.matrix), 2: rat(r2.matrix)}
     elements = []
     for w in words:
         mat = ID
         for a in w:
             mat = mat @ gens[a]
-        elements.append(GroupElement(w, mat))
+        elements.append(GroupElement(w, mat2(mat)))
     return DihedralGroup(r1, r2, ell, tuple(elements))
 
 
@@ -90,7 +90,7 @@ def maximal_dihedral_oracle(refs):
     return best, tuple(pairs)
 
 
-def vertex_permutation_oracle(p, matrix):
+def vertex_permutation_oracle(p, matrix: RatMatrix):
     index = {v: i for i, v in enumerate(p.vertices)}
     return tuple(index[matrix.mat_vec(v)] for v in p.vertices)
 
@@ -111,7 +111,7 @@ def test_detect_reflections_matches_the_fraction_oracle():
     for p in polygons:
         refs = detect_reflections(p)
         assert refs == detect_reflections_oracle(p), p.vertices
-        assert all(type(x) is Fraction for r in refs for x in r.matrix.entries)
+        assert all(type(x) is int for r in refs for x in r.matrix)
         found += len(refs)
     assert found > len(polygons)
 
@@ -122,7 +122,8 @@ def test_no_reflection_where_the_oracle_finds_none():
     for _, inst in generated():
         bent = polygon_from_vertices(gen.perturbed(inst))
         assert detect_reflections(bent) == detect_reflections_oracle(bent) == ()
-    assert vertex_permutation(NON_LATTICE_4GON, NON_LATTICE) == (0, 3, 2, 1)
+    assert vertex_permutation_oracle(NON_LATTICE_4GON, NON_LATTICE) == (
+        0, 3, 2, 1)
     assert detect_reflections(NON_LATTICE_4GON) == ()
     assert detect_reflections_oracle(NON_LATTICE_4GON) == ()
 
@@ -154,8 +155,8 @@ def test_maximal_dihedral_matches_building_every_pair():
 
 
 def test_dihedral_group_errors_keep_their_messages():
-    flip = Reflection.from_matrix(RatMatrix.from_rows([[1, 0], [0, -1]]))
-    shear = Reflection.from_matrix(RatMatrix.from_rows([[1, 1], [0, -1]]))
+    flip = Reflection.from_matrix((1, 0, 0, -1))
+    shear = Reflection.from_matrix((1, 1, 0, -1))
     with pytest.raises(EllTooSmall, match="^the two generators coincide$"):
         dihedral_group(flip, flip)
     with pytest.raises(NotFiniteOrder, match="^product of the two "
@@ -174,23 +175,36 @@ def test_vertex_permutation_matches_the_fraction_oracle():
         group = refs[0] if family == "mirror" else maximal_dihedral(refs)[0]
         for e in group.elements:
             assert vertex_permutation(p, e.matrix) == \
-                vertex_permutation_oracle(p, e.matrix)
+                vertex_permutation_oracle(p, rat(e.matrix))
             for a in CHANGES:
-                g = a @ e.matrix @ inverse2(a)
+                g = a @ rat(e.matrix) @ inverse2(a)
                 q = apply_linear(a, p)
-                assert vertex_permutation(q, g) == vertex_permutation_oracle(q, g)
+                assert vertex_permutation(q, mat2(g)) == \
+                    vertex_permutation_oracle(q, g)
 
 
 @pytest.mark.parametrize("matrix", [
-    RatMatrix.from_rows([[2, 0], [0, 2]]),   # integral, not in GL2(Z)
-    NON_LATTICE,
-    RatMatrix.from_rows([[-1, 0], [0, 2]]),  # integral, determinant -2
-    RatMatrix.from_rows([[0, 1], [1, 1]]),   # a lattice map that moves p
+    (2, 0, 0, 2),    # not in GL2(Z)
+    (1, 1, 1, 1),    # singular
+    (-1, 0, 0, 2),   # determinant -2
+    (0, 1, 1, 1),    # a lattice map that moves p
 ])
 def test_vertex_permutation_names_the_first_vertex_off_the_polygon(matrix):
     with pytest.raises(NotASymmetry,
                        match=r"^image of vertex \(-1, -1\) is not a vertex$"):
         vertex_permutation(SQUARE, matrix)
+
+
+def test_vertex_permutation_reduces_the_images_of_other_maps():
+    """(x, y) -> (x, -2y) fixes (-1, 0) and sends (1, -1/2), the triple
+    (2, -1, 2), to the unreduced triple (2, 2, 2) of the vertex (1, 1); the
+    first vertex whose image is off the triangle is (1, 1)."""
+    triangle = polygon_from_vertices([(-1, 0), (1, F(-1, 2)), (1, 1)])
+    v0, v1, v2 = triangle.vertices
+    assert [rat((1, 0, 0, -2)).mat_vec(v) for v in (v0, v1)] == [v0, v2]
+    with pytest.raises(NotASymmetry,
+                       match=r"^image of vertex \(1, 1\) is not a vertex$"):
+        vertex_permutation(triangle, (1, 0, 0, -2))
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -202,4 +216,4 @@ def test_vertex_permutation_names_the_first_vertex_off_the_polygon(matrix):
 ])
 def test_reflection_refuses_a_matrix_by_name(rows, message):
     with pytest.raises(NotASymmetry, match=f"^{message}$"):
-        Reflection.from_matrix(RatMatrix.from_rows(rows))
+        Reflection.from_matrix([x for row in rows for x in row])

@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import pytest
 
+from ratmatrix import RatMatrix, dual_matrix, rat
 from toricsym.errors import DegenerateOffsets
-from toricsym.exactlin import RatMatrix
 from toricsym.geometry import pt
 from toricsym.rootsystems import (
-    default_offsets, dominant_point, g2_golden_table, golden_table,
+    CARTAN, default_offsets, dominant_point, g2_golden_table, golden_table,
     normal_families, normal_orbit, root_system, weight_polytope,
 )
 
@@ -34,12 +34,31 @@ def test_tags_and_rotation_orders():
 def test_g2_generator_matrices():
     rs = root_system("G2")
     n1, n2 = rs.normal_action
-    assert n1 == RatMatrix.from_rows([[-1, 0], [3, 1]])
-    assert n2 == RatMatrix.from_rows([[1, 1], [0, -1]])
-    assert rs.point_action[0] == n1.transpose()
+    assert n1 == (-1, 0, 3, 1)
+    assert n2 == (1, 1, 0, -1)
+    assert rat(rs.point_action[0]) == rat(n1).transpose()
+    assert rat(rs.point_action[1]) == rat(n2).transpose()
     # mirror normals are the negated coroots up to the canonical sign
     assert rs.reflection(1).mirror_normal == (2, -3)
     assert rs.reflection(2).mirror_normal == (1, -2)
+
+
+def test_generator_matrices_are_the_cartan_columns():
+    """On every type, generator i sends the coordinate covector e_j to
+    e_j, less the i-th Cartan row when i == j, and acts on points by the
+    transpose."""
+    for tag in CARTAN:
+        rs = root_system(tag)
+        for i in (0, 1):
+            cols = []
+            for j in (0, 1):
+                img = [F(int(k == j)) for k in (0, 1)]
+                if i == j:
+                    img = [img[k] - rs.cartan[i][k] for k in (0, 1)]
+                cols.append(img)
+            want = RatMatrix.from_rows([[cols[0][r], cols[1][r]] for r in (0, 1)])
+            assert rat(rs.normal_action[i]) == want, (tag, i)
+            assert rat(rs.point_action[i]) == want.transpose(), (tag, i)
 
 
 def test_normal_families():
@@ -144,7 +163,7 @@ def test_g2_slot_edges_carry_the_unit_normals():
 def _word_matrix(rs, name):
     mat = RatMatrix.identity(2)
     for ch in name.replace("s", " ").split():
-        mat = mat @ rs.normal_action[int(ch) - 1]
+        mat = mat @ rat(rs.normal_action[int(ch) - 1])
     return mat
 
 
@@ -180,13 +199,11 @@ def test_golden_table_other_types_run():
 
 
 def test_polytope_is_group_invariant():
-    from test_symmetry import dual_matrix
-
     rs = root_system("G2")
     poly = weight_polytope(rs)
     hs = set(poly.halfspaces())
     for g in rs.weyl_group().elements:
-        dual = dual_matrix(g.matrix)
+        dual = dual_matrix(rat(g.matrix))
         moved = set()
         for n, off in hs:
             img = dual.mat_vec(n)

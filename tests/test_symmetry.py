@@ -1,23 +1,31 @@
 """Reflection detection, dihedral groups, fundamental regions and labels."""
 
 import dataclasses
+import io
+import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from toricsym.errors import (
     EllTooSmall, InconsistentGeometry, NotASymmetry, NotFiniteOrder,
     OrientationAmbiguous,
 )
+from ratmatrix import (
+    RatMatrix, apply_linear, dual_matrix, inverse2, mat2, rat,
+)
 from toricsym.catalog import corpus, ninegon
-from toricsym.exactlin import RatMatrix
-from toricsym.geometry import apply_linear, polygon_from_vertices, pt
+from toricsym.cli import main
+from toricsym.geometry import format_rational, polygon_from_vertices, pt
 from toricsym.symmetry import (
     DihedralGroup, Reflection, coefficient_pair, detect_reflections,
     dihedral_coefficients, dihedral_group, edge_permutation,
     fundamental_region, maximal_dihedral, orbit_decomposition,
 )
+from toricsym.theorem import verify_theorem
 
 F = Fraction
 
@@ -26,27 +34,14 @@ def M(rows):
     return RatMatrix.from_rows(rows)
 
 
-def inverse2(m: RatMatrix) -> RatMatrix:
-    a, b, c, d = m.entries
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("singular matrix")
-    return RatMatrix.from_rows([[d / det, -b / det], [-c / det, a / det]])
-
-
-def dual_matrix(m: RatMatrix) -> RatMatrix:
-    """Action induced on normal vectors by x -> m x (inverse transpose)."""
-    return inverse2(m.transpose())
-
-
 SQUARE = polygon_from_vertices([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 HEXAGON = polygon_from_vertices(
     [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
 HOUSE = polygon_from_vertices([(-1, -1), (1, -1), (1, 1), (0, 2), (-1, 1)])
 
-X_MIRROR = Reflection.from_matrix(M([[1, 0], [0, -1]]))   # fixes the x-axis
-Y_MIRROR = Reflection.from_matrix(M([[-1, 0], [0, 1]]))
-DIAG_MIRROR = Reflection.from_matrix(M([[0, 1], [1, 0]]))  # fixes y = x
+X_MIRROR = Reflection.from_matrix((1, 0, 0, -1))   # fixes the x-axis
+Y_MIRROR = Reflection.from_matrix((-1, 0, 0, 1))
+DIAG_MIRROR = Reflection.from_matrix((0, 1, 1, 0))  # fixes y = x
 
 
 def test_detect_reflections_square():
@@ -54,7 +49,7 @@ def test_detect_reflections_square():
     assert len(refl) == 4
     assert {r.mirror_normal for r in refl} == {(1, 0), (0, 1), (1, -1), (1, 1)}
     for r in refl:
-        assert r.matrix @ r.matrix == RatMatrix.identity(2)
+        assert rat(r.matrix) @ rat(r.matrix) == RatMatrix.identity(2)
 
 
 def test_detect_reflections_hexagon_and_asymmetric():
@@ -68,7 +63,7 @@ def test_edge_permutation():
     # x -> -x fixes the bottom and top edges, swaps left and right
     assert edge_permutation(SQUARE, Y_MIRROR.matrix) == (0, 3, 2, 1)
     with pytest.raises(NotASymmetry):
-        edge_permutation(SQUARE, M([[2, 0], [0, 2]]))
+        edge_permutation(SQUARE, (2, 0, 0, 2))
     rect = polygon_from_vertices([(-2, -1), (2, -1), (2, 1), (-2, 1)])
     with pytest.raises(NotASymmetry):
         edge_permutation(rect, DIAG_MIRROR.matrix)
@@ -83,7 +78,7 @@ def test_dihedral_group_basics():
     # composition stays inside the group and matches word concatenation
     by_word = {e.word: e for e in g.elements}
     by_matrix = {e.matrix: e for e in g.elements}
-    prod = by_matrix[by_word[(1,)].matrix @ by_word[(2,)].matrix]
+    prod = by_matrix[mat2(rat(by_word[(1,)].matrix) @ rat(by_word[(2,)].matrix))]
     assert prod == by_word[(1, 2)]
     with pytest.raises(EllTooSmall):
         dihedral_group(X_MIRROR, X_MIRROR)
@@ -92,9 +87,9 @@ def test_dihedral_group_basics():
 def test_dihedral_group_infinite_order_guard():
     # rotation of trace 4, of trace 2 (a shear, not I) and of trace -2
     # (not -I)
-    slanted = Reflection.from_matrix(M([[2, 3], [-1, -2]]))
-    shear = Reflection.from_matrix(M([[1, 0], [1, -1]]))
-    flipped_shear = Reflection.from_matrix(M([[-1, -1], [0, 1]]))
+    slanted = Reflection.from_matrix((2, 3, -1, -2))
+    shear = Reflection.from_matrix((1, 0, 1, -1))
+    flipped_shear = Reflection.from_matrix((-1, -1, 0, 1))
     for other in (slanted, shear, flipped_shear):
         with pytest.raises(NotFiniteOrder):
             dihedral_group(X_MIRROR, other)
@@ -109,7 +104,7 @@ def test_dihedral_order_from_the_trace():
         for i in range(len(refs)):
             for j in range(i + 1, len(refs)):
                 g = dihedral_group(refs[i], refs[j])
-                rot = refs[i].matrix @ refs[j].matrix
+                rot = rat(refs[i].matrix) @ rat(refs[j].matrix)
                 power, order = rot, 1
                 while power != RatMatrix.identity(2):
                     power, order = power @ rot, order + 1
@@ -173,7 +168,7 @@ def _mirror_kinds(p):
     """Split reflections by whether their dual fixes an edge normal."""
     edge_type, vertex_type = [], []
     for r in detect_reflections(p):
-        dual = dual_matrix(r.matrix)
+        dual = dual_matrix(rat(r.matrix))
         fixes = any(dual.mat_vec(n) == tuple(map(F, n)) for n in p.normals())
         (edge_type if fixes else vertex_type).append(r)
     return edge_type, vertex_type
@@ -280,44 +275,126 @@ def test_orbit_decomposition_partitions_generated_folds():
     assert swapped_kinds.count("2-2") == 4
 
 
-def test_lattice_change_of_coordinates_keeps_the_labels():
-    """Mapping a polygon and its generators by A in GL2(Z) (two of the maps
-    reverse orientation) and moving the chamber by A changes no label: the
-    kind, n, the slots, the crossed halves and the c and d tables, and E_j
-    is the image of E_j. Only a mirror whose rays end alike numbers its
-    slots ccw, so there a map of determinant -1 reverses the numbering."""
-    changes = [M([[1, 1], [0, 1]]), M([[2, 1], [1, 1]]),
-               M([[0, 1], [1, 0]]), M([[1, 0], [3, -1]])]
+# the four unit shears, the swap and a sign change generate GL2(Z)
+ELEMENTARY = [M([[1, 1], [0, 1]]), M([[1, -1], [0, 1]]), M([[1, 0], [1, 1]]),
+              M([[1, 0], [-1, 1]]), M([[0, 1], [1, 0]]), M([[-1, 0], [0, 1]])]
+# fixed changes, two of them orientation-reversing
+CHANGES = [M([[1, 1], [0, 1]]), M([[2, 1], [1, 1]]),
+           M([[0, 1], [1, 0]]), M([[1, 0], [3, -1]])]
+
+
+@st.composite
+def gl2z(draw):
+    """A matrix of GL2(Z), as a product of up to five elementary ones."""
+    a = RatMatrix.identity(2)
+    for e in draw(st.lists(st.sampled_from(ELEMENTARY), max_size=5)):
+        a = a @ e
+    return a
+
+
+def _moved(a, group):
+    """The group with each generator conjugated by a, in generator order."""
+    a_inv = inverse2(a)
+    gens = [Reflection.from_matrix((a @ rat(e.matrix) @ a_inv).entries)
+            for e in group.elements if e.length == 1]
+    return gens[0] if len(gens) == 1 else dihedral_group(*gens)
+
+
+def _centroid(fr):
+    vs = fr.region.vertices
+    return tuple(sum(v[k] for v in vs) / len(vs) for k in (0, 1))
+
+
+@pytest.fixture(scope="module")
+def folds():
+    """(polygon, group) for every corpus mirror and maximal group, every
+    fold shape, and the generated polygons of all 15 family/shape pairs."""
+    from test_closed_forms import FOLDS
+    return FOLDS
+
+
+def _verify_json(path, vertices):
+    path.write_text(json.dumps({"name": "relabelled", "vertices": [
+        [format_rational(x), format_rational(y)] for x, y in vertices]}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--input", str(path), "--format", "json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(a=gl2z(), fold=st.integers(0, 10**6), shift=st.integers(0, 10**6),
+       reverse=st.booleans())
+@example(a=CHANGES[0], fold=0, shift=0, reverse=False)
+@example(a=CHANGES[1], fold=1, shift=1, reverse=True)
+@example(a=CHANGES[2], fold=2, shift=2, reverse=False)
+@example(a=CHANGES[3], fold=3, shift=3, reverse=True)
+def test_lattice_change_of_coordinates_keeps_the_labels(
+        folds, tmp_path_factory, a, fold, shift, reverse):
+    """Mapping a polygon and its generators by A in GL2(Z) and moving the
+    chamber by A changes no label: the kind, n, the slots, the crossed
+    halves and the c and d tables, and E_j is the image of E_j. Only a
+    mirror whose rays end alike numbers its slots ccw, so there a map of
+    determinant -1 reverses the numbering. A is drawn as a product of
+    elementary matrices, and the four fixed changes are always run.
+
+    On one fold of the corpus and generated polygons, drawn per example,
+    verify_theorem keeps the case, n, the coefficients (renumbered as the
+    slots are) and both verdicts (the direct rank check and the duality
+    shortcut) under A; and the image's vertex list, rotated and perhaps
+    reversed, parses to the same polygon and gives byte-identical verify
+    JSON."""
+    a11, a12, a21, a22 = a.entries
+
+    def reverses(kind):
+        return a11 * a22 - a12 * a21 == -1 and kind in ("1-1", "1-3")
+
     for p, group in _all_fold_shapes():
         fr = fundamental_region(p, group)
         table = dihedral_coefficients(fr)
-        vs = fr.region.vertices
-        centroid = tuple(sum(v[k] for v in vs) / len(vs) for k in (0, 1))
-        for a in changes:
-            a_inv = inverse2(a)
-            gens = [Reflection.from_matrix(a @ e.matrix @ a_inv)
-                    for e in group.elements if e.length == 1]
-            moved = gens[0] if len(gens) == 1 else dihedral_group(*gens)
-            fr_a = fundamental_region(apply_linear(a, p), moved,
-                                      chamber_hint=a.mat_vec(centroid))
-            table_a = dihedral_coefficients(fr_a)
-            assert (fr_a.kind, fr_a.n, fr_a.slots, len(fr_a.cross_edges)) == (
-                fr.kind, fr.n, fr.slots, len(fr.cross_edges)), (fr.kind, a)
-            assert (table_a.c, table_a.d) == (table.c, table.d), (fr.kind, a)
-            dual = dual_matrix(a)
-            images = {j: dual.mat_vec(fr.region.edges[i].normal)
-                      for j, i in fr.slot_edges.items()}
-            a11, a12, a21, a22 = a.entries
-            if a11 * a22 - a12 * a21 == -1 and fr.kind in ("1-1", "1-3"):
-                images = {j: images[fr.n + 1 - j] for j in images}
-            assert {j: fr_a.region.edges[i].normal
-                    for j, i in fr_a.slot_edges.items()} == images, (fr.kind, a)
+        fr_a = fundamental_region(apply_linear(a, p), _moved(a, group),
+                                  chamber_hint=a.mat_vec(_centroid(fr)))
+        table_a = dihedral_coefficients(fr_a)
+        assert (fr_a.kind, fr_a.n, fr_a.slots, len(fr_a.cross_edges)) == (
+            fr.kind, fr.n, fr.slots, len(fr.cross_edges)), (fr.kind, a)
+        assert (table_a.c, table_a.d) == (table.c, table.d), (fr.kind, a)
+        dual = dual_matrix(a)
+        images = {j: dual.mat_vec(fr.region.edges[i].normal)
+                  for j, i in fr.slot_edges.items()}
+        if reverses(fr.kind):
+            images = {j: images[fr.n + 1 - j] for j in images}
+        assert {j: fr_a.region.edges[i].normal
+                for j, i in fr_a.slot_edges.items()} == images, (fr.kind, a)
+
+    p, group = folds[fold % len(folds)]
+    hint = _centroid(fundamental_region(p, group))
+    q = apply_linear(a, p)
+    rep = verify_theorem(p, group, hint)
+    rep_a = verify_theorem(q, _moved(a, group), a.mat_vec(hint))
+    coeff_c = rep.coeff_c
+    if reverses(rep.case):  # a mirror's keys are its slot numbers
+        coeff_c = {str(rep.n + 1 - int(j)): x for j, x in coeff_c.items()}
+    assert (rep_a.case, rep_a.n, rep_a.coeff_c, rep_a.coeff_d) == (
+        rep.case, rep.n, coeff_c, rep.coeff_d), (p.vertices, a)
+    assert [(r.well_defined.ok, r.image_invariant.ok, r.isomorphism,
+             r.pd_shortcut_agrees) for r in (rep, rep_a)] == [(True,) * 4] * 2
+
+    k = shift % q.m
+    relabelled = list(q.vertices[k:] + q.vertices[:k])
+    if reverse:
+        relabelled.reverse()
+    assert polygon_from_vertices(relabelled) == q
+    path = tmp_path_factory.getbasetemp() / "relabelled.json"
+    canonical = _verify_json(path, q.vertices)
+    assert canonical[0] == 0 and canonical[2] == ""
+    assert _verify_json(path, relabelled) == canonical
 
 
 def test_single_mirror_is_the_order_two_group():
     assert [e.word for e in X_MIRROR.elements] == [(), (1,)]
     assert [e.name for e in X_MIRROR.elements] == ["id", "s1"]
-    assert X_MIRROR.elements[0].matrix == RatMatrix.identity(2)
+    assert X_MIRROR.elements[0].matrix == (1, 0, 0, 1)
     assert X_MIRROR.elements[1].matrix == X_MIRROR.matrix
 
 
@@ -354,7 +431,7 @@ def test_edge_permutation_is_a_homomorphism():
     by_matrix = {e.matrix: e for e in g.elements}
     for a in g.elements:
         for b in g.elements:
-            ab = by_matrix[a.matrix @ b.matrix]
+            ab = by_matrix[mat2(rat(a.matrix) @ rat(b.matrix))]
             composed = tuple(perms[a.word][perms[b.word][i]]
                              for i in range(HEXAGON.m))
             assert composed == perms[ab.word]
@@ -364,7 +441,7 @@ def test_normals_transform_by_dual_matrix():
     g = dihedral_group(*_mirror_kinds(HEXAGON)[1][:2])
     for e in g.elements:
         perm = edge_permutation(HEXAGON, e.matrix)
-        dual = dual_matrix(e.matrix)
+        dual = dual_matrix(rat(e.matrix))
         for i in range(HEXAGON.m):
             lam = HEXAGON.edges[i].normal
             img = HEXAGON.edges[perm[i]].normal
@@ -405,7 +482,7 @@ def test_normal_jump_off_the_mirror_normal_is_rejected():
     p = polygon_from_vertices([(2, 1), q, (-3, F(-3, 2)), r.mat_vec(q)])
     assert detect_reflections(p) == ()
     with pytest.raises(NotASymmetry, match="is not a lattice map"):
-        Reflection.from_matrix(r)
+        Reflection.from_matrix(r.entries)
 
 
 def test_mirror_jump_off_the_normal_is_rejected_by_name():
