@@ -52,7 +52,9 @@ class EllTooSmall(ToricSymError):
 
 
 class OrientationAmbiguous(ToricSymError):
-    """No fundamental-region candidate can be selected deterministically."""
+    """A chamber hint selects no chamber of the group: it lies on a mirror
+    line, or in a wedge of the mirror normals whose sign choice fails the
+    chamber rule (s1 moves eta2 by a non-negative multiple of eta1)."""
 
 
 class InconsistentGeometry(ToricSymError):

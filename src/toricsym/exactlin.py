@@ -17,10 +17,6 @@ Rat = Fraction
 Vec = tuple[Rat, ...]
 
 
-def vec(xs: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in xs)
-
-
 def rank(a: Iterable[Sequence | dict[int, object]]) -> int:
     """Rank of a matrix given as rows that are sequences (dense) or
     {column: value} dicts (sparse), by sparse elimination.

@@ -25,7 +25,7 @@ from .errors import (
     CollinearTriple, NotConvex, OriginNotInterior, RedundantHalfspace,
     Unbounded, ZeroVector,
 )
-from .exactlin import Rat, vec
+from .exactlin import Rat
 
 Point = tuple[Rat, Rat]
 IntVec = tuple[int, int]
@@ -125,9 +125,6 @@ class RationalPolygon:
     def normals(self) -> tuple[IntVec, ...]:
         return tuple(e.normal for e in self.edges)
 
-    def offsets(self) -> tuple[Rat, ...]:
-        return tuple(e.offset for e in self.edges)
-
     def halfspaces(self) -> tuple[tuple[IntVec, Rat], ...]:
         return tuple((e.normal, e.offset) for e in self.edges)
 
@@ -137,14 +134,6 @@ class RationalPolygon:
         for i in range(len(vs)):
             s += cross(vs[i], vs[(i + 1) % len(vs)])
         return s / 2
-
-    def contains(self, p: Sequence, *, strict: bool = False) -> bool:
-        p = vec(p)
-        for e in self.edges:
-            v = dot(p, e.normal) + e.offset
-            if v > 0 or (strict and v == 0):
-                return False
-        return True
 
     def to_json(self, name: str = "polygon") -> dict:
         return {

@@ -48,9 +48,6 @@ class RootSystem:
     def rotation_order(self) -> int:
         return ROTATION_ORDER[self.tag]
 
-    def coroot(self, i: int) -> tuple[int, int]:
-        return self.cartan[i - 1]
-
     def reflection(self, i: int) -> Reflection:
         return Reflection.from_matrix(self.point_action[i - 1])
 

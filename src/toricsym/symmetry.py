@@ -22,10 +22,12 @@ only the generators map vertices: every other element's edge permutation is
 composed from theirs along its word.
 
 The fundamental region is the polygon clipped by each chosen mirror normal
-eta in turn, to its side <x, eta> <= 0. A mirror's half-plane is the wedge
-of angle pi between the two rays of its line, so every region has exactly
-two rays: both ends of a mirror's chord, or the far end of each of a
-wedge's two mirror edges. Each ray ends at a vertex of the polygon or
+eta in turn, to its side <x, eta> <= 0, with signs that make this a chamber:
+s1 moves eta2 by a non-negative multiple of eta1, as simple roots pair
+non-positively (the sign of one Cartan integer). A mirror's half-plane is
+the wedge of angle pi between the two rays of its line, so every region has
+exactly two rays: both ends of a mirror's chord, or the far end of each of
+a wedge's two mirror edges. Each ray ends at a vertex of the polygon or
 crosses one of its edges, and the other region edges form one arc from one
 ray to the other. The shape is called k-x, where k is the number of etas
 and x - 1 the number of rays ending at a vertex: 1-1, 1-2 and 1-3 for a
@@ -408,10 +410,13 @@ def _region(p: RationalPolygon, group: "Reflection | DihedralGroup",
             arc.reverse()
             exits.reverse()
         if [f for f, _ in exits] == ["vertex", "edge"]:
-            return _region(
-                p, group.swapped(), etas[::-1], perms, area,
-                warnings + ("generators reordered so that the mirror "
-                            "crossing an edge interior is s1",))
+            # rename the generators: the same region, read from the other end
+            group, etas = group.swapped(), etas[::-1]
+            mirrors = {idx: 1 - k for idx, k in mirrors.items()}
+            arc.reverse()
+            exits.reverse()
+            warnings += ("generators reordered so that the mirror "
+                         "crossing an edge interior is s1",)
         cross_edges, slots = (), arc
         first = 2 if exits[0][0] == "vertex" else 1
         n = len(arc) + vertex_ends
@@ -431,16 +436,36 @@ def _region(p: RationalPolygon, group: "Reflection | DihedralGroup",
         exits=tuple(exits), warnings=warnings)
 
 
+def chambers(group: "Reflection | DihedralGroup") -> list[tuple[IntVec, ...]]:
+    """The sign choices of the mirror normals whose region <x, eta> <= 0 is
+    a chamber of the group, in product order (see fundamental_region)."""
+    if isinstance(group, Reflection):
+        x, y = group.mirror_normal
+        return [((x, y),), ((-x, -y),)]
+    a, b, c, d = group.s1.matrix
+    signs = [(n, (-n[0], -n[1]))
+             for n in (group.s1.mirror_normal, group.s2.mirror_normal)]
+    # s1 acts on the normal (x, y) by its transpose (a c; b d)
+    return [(eta1, (x, y)) for eta1, (x, y) in product(*signs)
+            if dot(((a - 1) * x + c * y, b * x + (d - 1) * y), eta1) >= 0]
+
+
 def fundamental_region(p: RationalPolygon,
                        group: "Reflection | DihedralGroup",
                        chamber_hint: Optional[Sequence] = None,
                        ) -> FundamentalRegion:
     """Clip p to a fundamental region of the group and label its edges.
 
-    chamber_hint, when given, must pair strictly negatively with the chosen
-    mirror normals and selects among the sign candidates; otherwise the
-    candidate whose region has the lexicographically smallest vertex tuple
-    is taken.
+    Only chambers are clipped: both half-planes of a mirror, and the sign
+    choices of a wedge where s1 moves eta2 by a non-negative multiple of
+    eta1, as simple roots pair non-positively (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.3). An involution acts on normals by its
+    transpose, so the test is dot(s1^T eta2 - eta2, eta1) >= 0. The multiple
+    is 0 exactly when ell = 2, so all four quadrants pass there, and two
+    wedges when ell >= 3. chamber_hint, when given, must pair strictly
+    negatively with the chosen normals, and OrientationAmbiguous is raised
+    when it selects no chamber; otherwise the chamber whose region has the
+    lexicographically smallest vertex tuple is taken.
     """
     # NotASymmetry here when a generator does not preserve p; every longer
     # word u = s_a rest composes as pi_u[i] = pi_a[pi_rest[i]]
@@ -452,38 +477,21 @@ def fundamental_region(p: RationalPolygon,
             head, rest = by_word[e.word[:1]], by_word[e.word[1:]]
             by_word[e.word] = tuple(head[k] for k in rest)
     perms = {e.matrix: by_word[e.word] for e in group.elements}
-    area = p.area()
     warnings: tuple[str, ...] = ()
-    if isinstance(group, Reflection):
-        normals: tuple[IntVec, ...] = (group.mirror_normal,)
-    else:
-        normals = (group.s1.mirror_normal, group.s2.mirror_normal)
-        if group.ell == 2:
-            warnings = ("dihedral group with ell=2 (perpendicular mirrors): "
-                        "outside the usual ell>=3 setting, handled anyway",)
-    sign_sets = list(product(*[(b, (-b[0], -b[1])) for b in normals]))
-
+    if isinstance(group, DihedralGroup) and group.ell == 2:
+        warnings = ("dihedral group with ell=2 (perpendicular mirrors): "
+                    "outside the usual ell>=3 setting, handled anyway",)
+    candidates = chambers(group)
     if chamber_hint is not None:
-        hint = tuple(Fraction(x) for x in chamber_hint)
-        chosen = [etas for etas in sign_sets
-                  if all(dot(hint, eta) < 0 for eta in etas)]
-        if len(chosen) != 1:
+        candidates = [etas for etas in candidates
+                      if all(dot(chamber_hint, eta) < 0 for eta in etas)]
+        if not candidates:
             raise OrientationAmbiguous(
-                "chamber hint lies on a mirror line and selects no candidate")
-        try:
-            return _region(p, group, chosen[0], perms, area, warnings)
-        except InconsistentGeometry as exc:
-            raise OrientationAmbiguous(
-                f"chamber hint does not select a fundamental wedge: {exc}")
-    candidates = []
-    for etas in sign_sets:
-        try:
-            candidates.append(_region(p, group, etas, perms, area, warnings))
-        except InconsistentGeometry:
-            continue
-    if not candidates:
-        raise OrientationAmbiguous("no sign choice yields a fundamental region")
-    return min(candidates, key=lambda fr: fr.region.vertices)
+                "chamber hint selects no chamber: it lies on a mirror line "
+                "or in a wedge that is not a chamber of the group")
+    area = p.area()
+    return min((_region(p, group, etas, perms, area, warnings)
+                for etas in candidates), key=lambda fr: fr.region.vertices)
 
 
 # ---------------------------------------------------------------------------

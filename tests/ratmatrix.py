@@ -12,10 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from toricsym.exactlin import Rat, Vec, vec
+from toricsym.exactlin import Rat, Vec
 from toricsym.geometry import RationalPolygon, polygon_from_vertices
+
+
+def vec(xs: Iterable) -> Vec:
+    return tuple(Fraction(x) for x in xs)
 
 
 def vec_dot(a: Vec, b: Vec) -> Rat:

@@ -124,8 +124,8 @@ def test_criterion_2_g2_normal_jump_identities():
     the word's matrix on the base normal, and by expanding against the two
     mirror normals with the frozen integer coefficients."""
     rs = root_system("G2")
-    eta1 = tuple(-x for x in rs.coroot(1))
-    eta2 = tuple(-x for x in rs.coroot(2))
+    eta1 = tuple(-x for x in rs.cartan[0])
+    eta2 = tuple(-x for x in rs.cartan[1])
     assert eta1 == (-2, 3) and eta2 == (1, -2)
     for word, base, jump, c, d in G2_JUMPS:
         mat = rat(rs.normal_action[word[0] - 1])

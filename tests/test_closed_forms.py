@@ -3,11 +3,13 @@
 Every small system of the fold pipeline is 2 x 2 or 2 x 1, and the package
 solves each one in closed form: Cramer's rule for the degree-2 classes of x_0
 and x_1 and for a wedge's normal jump, a projection for a mirror's, and a
-column of g + 1 for a reflection's fixed line. Here each one is compared with
-the elimination it replaced (rref and kernel_basis of tests/ratmatrix.py) or with
-sympy's exact solver, on the corpus, on the fold regions of every fold shape
-and on generated polygons of all six shapes (bench/generators.py, read as a
-plain module). On the generated folds, the degree-2 invariants from orbit
+column of g + 1 for a reflection's fixed line, and the sign of a Cartan
+integer for a fundamental chamber. Here each one is compared with the
+elimination or search it replaced (rref and kernel_basis of
+tests/ratmatrix.py, the trial clip of every sign choice) or with sympy's
+exact solver, on the corpus, on the fold regions of every fold shape and on
+generated polygons of all six shapes (bench/generators.py, read as a plain
+module). On the generated folds, the degree-2 invariants from orbit
 sums are compared with the kernel of the stacked (rho - 1) blocks, and the
 pairing continuant with sympy's determinant. On every fold, each degree-2
 rank taken in edge coordinates (CohomologyRing.deg2_rank) is compared with
@@ -36,10 +38,12 @@ from test_symmetry import _all_fold_shapes
 
 from toricsym.catalog import corpus
 from toricsym.cohomology import cohomology_ring, invariant_deg2, orbit_sums
+from toricsym.errors import InconsistentGeometry
 from toricsym.exactlin import rank, spans_equal
 from toricsym.geometry import cross, polygon_from_vertices, primitive
 from toricsym.symmetry import (
-    Reflection, coefficient_pair, detect_reflections, dihedral_coefficients,
+    Reflection, _region, chambers, coefficient_pair, detect_reflections,
+    dihedral_coefficients, dihedral_group, edge_permutation,
     fundamental_region, maximal_dihedral,
 )
 from toricsym.theorem import (
@@ -143,6 +147,50 @@ def test_reflection_normal_matches_the_kernel():
         assert (Reflection.from_matrix((a, b, c, d)).mirror_normal
                 == eta), (a, b, c, d)
     assert count > 20
+
+
+def trial_chambers(p, group):
+    """The sign choices of the mirror normals whose clipped region passes
+    the region builder's checks (its area, one mirror edge per generator,
+    one arc of slots): the search that the chamber rule replaced."""
+    perms = {e.matrix: edge_permutation(p, e.matrix) for e in group.elements}
+    signs = [(n, (-n[0], -n[1])) for n in (
+        [group.mirror_normal] if isinstance(group, Reflection)
+        else [group.s1.mirror_normal, group.s2.mirror_normal])]
+    passed = []
+    for etas in product(*signs):
+        try:
+            _region(p, group, etas, perms, p.area(), ())
+        except InconsistentGeometry:
+            continue
+        passed.append(etas)
+    return passed
+
+
+def test_chamber_rule_is_the_trial_search():
+    """On the corpus and on generated polygons of all 15 family/shape pairs
+    (seeds 0 and 1), for every mirror and every ordered pair of mirrors,
+    the regions of exactly the sign choices that chambers keeps pass the
+    region builder's checks: both of a mirror, two of four for ell >= 3,
+    all four for ell = 2."""
+    polygons = list(corpus().values())
+    for family, shape in sorted(gen.MIRROR_SEEDS):
+        for seed in (0, 1):
+            inst = gen.generate(family, shape, gen.smallest_k(family, shape),
+                                seed)
+            polygons.append(polygon_from_vertices(inst.vertices))
+    kept = {1: 0, 2: 0, 3: 0, 4: 0, 6: 0}
+    for p in polygons:
+        refs = detect_reflections(p)
+        groups = list(refs) + [dihedral_group(a, b) for i, a in enumerate(refs)
+                               for j, b in enumerate(refs) if i != j]
+        for g in groups:
+            got = chambers(g)
+            assert got == trial_chambers(p, g), (p.vertices, g)
+            ell = getattr(g, "ell", 1)
+            assert len(got) == (4 if ell == 2 else 2), (p.vertices, g)
+            kept[ell] += 1
+    assert all(kept.values()), kept
 
 
 def test_orbit_sum_invariants_match_the_kernel_on_generated_folds():

@@ -64,7 +64,7 @@ def test_square_from_vertices():
     p = polygon_from_vertices(SQUARE)
     assert p.vertices == (pt(-1, -1), pt(1, -1), pt(1, 1), pt(-1, 1))
     assert p.normals() == ((0, -1), (1, 0), (0, 1), (-1, 0))
-    assert p.offsets() == (F(-1),) * 4
+    assert tuple(e.offset for e in p.edges) == (F(-1),) * 4
     assert p.area() == 4
 
 
@@ -79,7 +79,7 @@ def test_triangle_normals():
     p = polygon_from_vertices([(2, -1), (-1, 2), (-1, -1)])
     assert p.vertices[0] == pt(-1, -1)
     assert p.normals() == ((0, -1), (1, 1), (-1, 0))
-    assert p.offsets() == (F(-1), F(-1), F(-1))
+    assert tuple(e.offset for e in p.edges) == (F(-1), F(-1), F(-1))
     assert p.area() == F(9, 2)
 
 
@@ -214,14 +214,6 @@ def test_exact_products_stay_exact_where_they_divide():
                 for u in fr.group.elements:
                     values = coefficient_pair(fr, u, j)
                     assert all(type(x) is Fraction for x in values), (fr.kind, j)
-
-
-def test_contains():
-    p = polygon_from_vertices(SQUARE)
-    assert p.contains((0, 0), strict=True)
-    assert p.contains((1, 0)) and not p.contains((1, 0), strict=True)
-    assert not p.contains((2, 0))
-    assert p.contains((F(99, 100), F(-99, 100)), strict=True)
 
 
 def test_parse_rational_strict():

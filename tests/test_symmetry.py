@@ -17,9 +17,13 @@ from toricsym.errors import (
 from ratmatrix import (
     RatMatrix, apply_linear, dual_matrix, inverse2, mat2, rat,
 )
+from toricsym import symmetry
 from toricsym.catalog import corpus, ninegon
 from toricsym.cli import main
 from toricsym.geometry import format_rational, polygon_from_vertices, pt
+from toricsym.rootsystems import (
+    CARTAN, dominant_point, root_system, weight_polytope,
+)
 from toricsym.symmetry import (
     DihedralGroup, Reflection, coefficient_pair, detect_reflections,
     dihedral_coefficients, dihedral_group, edge_permutation,
@@ -164,6 +168,69 @@ def test_chamber_hint_single():
         fundamental_region(SQUARE, X_MIRROR, chamber_hint=(3, 0))
 
 
+@pytest.mark.parametrize("tag", sorted(CARTAN))
+def test_chamber_hint_in_a_wedge_that_is_no_chamber(tag, monkeypatch):
+    """s1 moves the dominant point across the first mirror, into a wedge
+    of the two mirror normals of angle pi - pi/ell: the hint pairs strictly
+    with both normals but selects no chamber, and no region is built."""
+    rs = root_system(tag)
+    p, group = weight_polytope(rs), rs.weyl_group()
+    a, b, c, d = group.s1.matrix
+    x, y = dominant_point(rs)
+    moved = (a * x + b * y, c * x + d * y)
+    assert fundamental_region(p, group, chamber_hint=(x, y)).kind == "2-1"
+
+    def no_region(*args):
+        raise AssertionError("a region was built")
+
+    monkeypatch.setattr(symmetry, "_region", no_region)
+    with pytest.raises(OrientationAmbiguous, match="selects no chamber"):
+        fundamental_region(p, group, chamber_hint=moved)
+
+
+def test_a_failed_region_check_is_named(monkeypatch, capsys):
+    """The region builder's checks are invariants of a chamber; handed a
+    wedge that is no chamber, it raises InconsistentGeometry by name, and
+    the CLI exits 2."""
+    g, _ = maximal_dihedral(detect_reflections(HEXAGON))
+    n1, n2 = g.s1.mirror_normal, g.s2.mirror_normal
+    wedges = [(n1, n2), (n1, (-n2[0], -n2[1]))]
+    (wedge,) = [w for w in wedges if w not in symmetry.chambers(g)]
+    monkeypatch.setattr(symmetry, "chambers", lambda group: [wedge])
+    with pytest.raises(InconsistentGeometry,
+                       match="region area is not area"):
+        fundamental_region(HEXAGON, g)
+    assert main(["verify", "--builtin", "hexagon"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: InconsistentGeometry: region area is not area(P)/|W|")
+
+
+def test_each_chamber_is_clipped_once(monkeypatch):
+    """One clip per mirror normal of each chamber: 2 for a mirror, 4 for a
+    wedge with ell >= 3 and 8 for ell = 2, also when the region builder
+    swaps the generators (the hexagon pair handed over vertex mirror first,
+    and the generated 2-2 folds in both generator orders)."""
+    from test_closed_forms import GENERATED
+
+    calls = []
+    clip = symmetry.clip_halfplane
+    monkeypatch.setattr(symmetry, "clip_halfplane",
+                        lambda pts, eta: calls.append(eta) or clip(pts, eta))
+    folds = _all_fold_shapes() + [(SQUARE, dihedral_group(X_MIRROR, Y_MIRROR))]
+    for p, group in GENERATED:
+        if fundamental_region(p, group).kind == "2-2":
+            folds += [(p, group), (p, group.swapped())]
+    swapped_ells = []
+    for p, group in folds:
+        calls.clear()
+        fr = fundamental_region(p, group)
+        ell = getattr(group, "ell", 1)
+        assert len(calls) == {1: 2, 2: 8}.get(ell, 4), (fr.kind, ell)
+        if fr.group != group:
+            swapped_ells.append(ell)
+    assert sorted(swapped_ells) == [2, 3, 3, 4, 6, 6]
+
+
 def _mirror_kinds(p):
     """Split reflections by whether their dual fixes an edge normal."""
     edge_type, vertex_type = [], []
@@ -262,7 +329,7 @@ def test_orbit_decomposition_partitions():
 def test_orbit_decomposition_partitions_generated_folds():
     """All 15 family/shape pairs, each dihedral group also handed over with
     its generators exchanged, so that every 2-2 fold is reached once
-    through the swapped recursion of the region builder."""
+    through the generator swap of the region builder."""
     from test_closed_forms import GENERATED
 
     results = []
