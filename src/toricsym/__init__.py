@@ -12,12 +12,10 @@ from .catalog import (
     hexagon, house_pentagon, ninegon, square,
 )
 from .cohomology import (
-    CohomologyRing, cohomology_ring, invariant_deg2, orbit_sums, reynolds_image,
-    ring_action,
+    CohomologyRing, cohomology_ring, invariant_deg2, orbit_sums, ring_action,
 )
 from .errors import (
-    CaseMismatch, DegenerateOffsets, DegeneratePairing, NotASymmetry,
-    ToricSymError,
+    CaseMismatch, DegenerateOffsets, NotASymmetry, ToricSymError,
 )
 from .geometry import (
     RationalPolygon, format_rational, parse_rational, polygon_from_halfspaces,
@@ -40,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTINS", "CaseMismatch", "CoeffTable", "CohomologyRing",
-    "DegenerateOffsets", "DegeneratePairing", "DihedralGroup",
+    "DegenerateOffsets", "DihedralGroup",
     "FundamentalRegion", "NotASymmetry", "RationalPolygon", "Reflection",
     "RingMap", "RootSystem", "ToricSymError", "VerificationReport",
     "build_dihedral_map", "builtin",
@@ -51,6 +49,6 @@ __all__ = [
     "g2_golden_table", "g2_polytope", "golden_table", "hexagon",
     "house_pentagon", "invariant_deg2", "ninegon", "orbit_sums",
     "parse_rational", "polygon_from_halfspaces", "polygon_from_json",
-    "polygon_from_vertices", "reynolds_image", "ring_action", "root_system",
+    "polygon_from_vertices", "ring_action", "root_system",
     "square", "verify_theorem", "weight_polytope",
 ]

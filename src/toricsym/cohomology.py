@@ -22,7 +22,9 @@ x_i x_{i+1} is 1/|det(n_i, n_{i+1})| times the point class, x_i^2 is
 -det(n_{i-1}, n_{i+1}) / (det(n_{i-1}, n_i) det(n_i, n_{i+1})) times it, and
 every other product is zero. T is cyclic tridiagonal, so the product of two
 linear forms v, w is the bilinear form v^T T w (deg4), which reads three
-table entries per term of v. Witness text prints rows with row_str.
+table entries per term of v. On x_2 .. x_{m-1}, T is the degree-2 pairing,
+of determinant (-1)^(m-3) d_0^2 / prod_i d_i with d_i = det(n_i, n_{i+1})
+(cohomology_ring). Witness text prints rows with row_str.
 
 A symmetry of the polygon acts on the ring by permuting the edge variables,
 so a group action is stored as a permutation and nothing else: it moves the
@@ -36,12 +38,13 @@ relation rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DegeneratePairing, NotASymmetry, UnexpectedBettiNumber
+from .errors import NotASymmetry, UnexpectedBettiNumber
 from .exactlin import Rat, Vec, rank
 from .geometry import RationalPolygon, cross, format_rational
 
@@ -121,9 +124,12 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
     n_0, n_1 gives x_0 = -sum_b det(n_b, n_1) x_b / det(n_0, n_1) and x_1 =
     -sum_b det(n_0, n_b) x_b / det(n_0, n_1), b >= 2; degree-4 products are
     the closed-form intersection table (Fulton, ch. 5), which both linear
-    relations must annihilate column by column. The table is cyclic
-    tridiagonal and the basis omits x_0, so the pairing is tridiagonal and
-    its determinant is the continuant of its diagonals."""
+    relations must annihilate column by column. The basis omits x_0, so the
+    pairing is tridiagonal; with d_i = det(n_i, n_{i+1}), the Plucker
+    relation of n_1, n_{k-1}, n_k, n_{k+1} shows that its leading k x k minor
+    is (-1)^(k-1) det(n_1, n_{k+1}) / (d_1 ... d_k). At k = m - 1 that is
+    (-1)^(m-3) d_0^2 / prod_i d_i, never 0: adjacent normals of a convex
+    polygon are never parallel."""
     m = p.m
     n = p.normals()
     rows = tuple({i: Fraction(v[k]) for i, v in enumerate(n) if v[k]}
@@ -147,12 +153,7 @@ def cohomology_ring(p: RationalPolygon) -> CohomologyRing:
                     f"intersection numbers of x{i}")
     table = tuple(tuple(row) for row in table)
 
-    pairing_det, prev = Fraction(1), Fraction(0)
-    for b in basis:
-        pairing_det, prev = (table[b][b] * pairing_det
-                             - table[b - 1][b] ** 2 * prev), pairing_det
-    if pairing_det == 0:
-        raise DegeneratePairing("degree-2 intersection pairing is singular")
+    pairing_det = Fraction((-1) ** (m - 3) * det[0] ** 2, math.prod(det))
     return CohomologyRing(
         polygon=p, linear_rows=rows, betti=(1, m - 2, 1), deg2_basis=basis,
         _pivot_rows=pivot_rows, product_table=table, pairing_det=pairing_det)

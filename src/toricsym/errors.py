@@ -73,7 +73,3 @@ class PartitionFailure(ToricSymError):
 
 class UnexpectedBettiNumber(ToricSymError):
     """A graded piece of the cohomology ring has the wrong dimension."""
-
-
-class DegeneratePairing(ToricSymError):
-    """The degree-2 intersection pairing is singular."""

@@ -169,8 +169,8 @@ class CoeffTable:
     """
 
     region: FundamentalRegion
-    rows_first: tuple[tuple[str, Rat, Rat], ...]
-    rows_second: tuple[tuple[str, Rat, Rat], ...]
+    rows_first: tuple[tuple[str, int, int], ...]
+    rows_second: tuple[tuple[str, int, int], ...]
 
 
 def golden_table(rs: RootSystem,

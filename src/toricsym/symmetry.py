@@ -47,7 +47,6 @@ ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Optional, Sequence
@@ -534,35 +533,42 @@ def orbit_decomposition(fr: FundamentalRegion) -> dict[int, tuple[tuple[GroupEle
 @dataclass(frozen=True)
 class DihedralCoefficients:
     """c and d keyed by (element word, slot): the expansion
-    lambda(u(E_j)) - lambda(E_j) = c * eta_1 + d * eta_2. A single mirror
-    has one eta, so d is empty; its c[((1,), j)] is the slot's reflection
-    coefficient and c[((), j)] is 0."""
+    lambda(u(E_j)) - lambda(E_j) = c * eta_1 + d * eta_2, in ints (see
+    coefficient_pair). A single mirror has one eta, so d is empty; its
+    c[((1,), j)] is the slot's reflection coefficient and c[((), j)] is 0."""
 
     sets: dict[int, tuple[GroupElement, ...]]
-    c: dict[tuple[tuple[int, ...], int], Rat]
-    d: dict[tuple[tuple[int, ...], int], Rat]
-    integral: bool
+    c: dict[tuple[tuple[int, ...], int], int]
+    d: dict[tuple[tuple[int, ...], int], int]
 
 
 def coefficient_pair(fr: FundamentalRegion, element: GroupElement,
-                     slot: int) -> tuple[Rat, ...]:
+                     slot: int) -> tuple[int, ...]:
     """The normal jump of one group element at one slot in the basis
-    fr.etas: (c,) for a single mirror, (c, d) for a wedge."""
+    fr.etas: (c,) for a single mirror, (c, d) for a wedge, in ints. With
+    u = s_a u', the jump u(lambda) - lambda is (s_a^T - 1) u'(lambda) +
+    (u'(lambda) - lambda): along u's word it telescopes into integer vectors
+    on the lines of the primitive eta_a, so into integer multiples of them.
+    Exact division solves it, a mirror's in the basis (eta, eta turned by a
+    right angle) with no second part; a remainder is InconsistentGeometry,
+    as the edge permutation then contradicts the geometry."""
     p = fr.polygon
     parent = fr.parent_of[fr.slot_edges[slot]]
     lam = p.edges[parent].normal
     lam_img = p.edges[fr.edge_perms[element.word][parent]].normal
-    diff = (Fraction(lam_img[0] - lam[0]), Fraction(lam_img[1] - lam[1]))
-    if len(fr.etas) == 2:
-        eta1, eta2 = fr.etas
-        det = cross(eta1, eta2)
-        return (cross(diff, eta2) / det, cross(eta1, diff) / det)
-    (eta,) = fr.etas
-    if cross(diff, eta) != 0:
+    diff = (lam_img[0] - lam[0], lam_img[1] - lam[1])
+    single = len(fr.etas) == 1
+    eta1, eta2 = ((fr.etas[0], (-fr.etas[0][1], fr.etas[0][0])) if single
+                  else fr.etas)
+    det = cross(eta1, eta2)
+    (c, rc), (d, rd) = (divmod(cross(diff, eta2), det),
+                        divmod(cross(eta1, diff), det))
+    if rc or rd or (single and d):
         raise InconsistentGeometry(
-            f"normal difference {format_point(diff)} is not a multiple of "
-            f"eta={eta}")
-    return (dot(diff, eta) / dot(eta, eta),)
+            f"normal difference {format_point(diff)} is not " +
+            (f"a multiple of eta={eta1}" if single else
+             f"an integer combination of eta1={eta1} and eta2={eta2}"))
+    return (c,) if single else (c, d)
 
 
 def dihedral_coefficients(fr: FundamentalRegion) -> DihedralCoefficients:
@@ -571,14 +577,13 @@ def dihedral_coefficients(fr: FundamentalRegion) -> DihedralCoefficients:
     polygon's edges and that every crossed edge is fixed)."""
     sets = {j: tuple(u for u, _ in entries)
             for j, entries in orbit_decomposition(fr).items()}
-    c: dict[tuple[tuple[int, ...], int], Rat] = {}
-    d: dict[tuple[tuple[int, ...], int], Rat] = {}
+    c: dict[tuple[tuple[int, ...], int], int] = {}
+    d: dict[tuple[tuple[int, ...], int], int] = {}
     for j, elems in sets.items():
         for u in elems:
             for table, x in zip((c, d), coefficient_pair(fr, u, j)):
                 table[(u.word, j)] = x
-    integral = all(v.denominator == 1 for v in list(c.values()) + list(d.values()))
-    return DihedralCoefficients(sets, c, d, integral)
+    return DihedralCoefficients(sets, c, d)
 
 
 # the single-mirror name of the table, kept for older callers

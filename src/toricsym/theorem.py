@@ -283,8 +283,8 @@ class VerificationReport:
     graded_dims: tuple[int, int, int, int]
     isomorphism: bool
     pd_shortcut_agrees: bool
-    coeff_c: dict[str, Rat]
-    coeff_d: dict[str, Rat]
+    coeff_c: dict[str, int]
+    coeff_d: dict[str, int]
     warnings: tuple[str, ...]
     details: IsomorphismChecks
 
@@ -320,8 +320,8 @@ def verify_theorem(p, group, chamber_hint=None) -> VerificationReport:
     coeffs = dihedral_coefficients(fr)
     rmap = build_dihedral_map(fr, coeffs)
     single = len(fr.etas) == 1
-    coeff_c: dict[str, Rat] = {}
-    coeff_d: dict[str, Rat] = {}
+    coeff_c: dict[str, int] = {}
+    coeff_d: dict[str, int] = {}
     for j, elems in coeffs.sets.items():
         for u in elems:
             key = (u.word, j)
@@ -345,11 +345,8 @@ def verify_theorem(p, group, chamber_hint=None) -> VerificationReport:
                                        "edge orbits minus dim M^W",))
     checks = check_isomorphism(rmap, gen_actions, all_actions, inv_rows,
                                well, inv)
-    warnings = fr.warnings
-    if not coeffs.integral:
-        warnings = warnings + ("some expansion coefficients are not integers",)
     return VerificationReport(
         case=fr.kind, n=fr.n, well_defined=well, image_invariant=inv,
         graded_dims=checks.dims, isomorphism=checks.direct,
         pd_shortcut_agrees=checks.direct == checks.shortcut,
-        coeff_c=coeff_c, coeff_d=coeff_d, warnings=warnings, details=checks)
+        coeff_c=coeff_c, coeff_d=coeff_d, warnings=fr.warnings, details=checks)

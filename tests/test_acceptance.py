@@ -220,14 +220,14 @@ def test_criterion_6_negative_controls():
     refs = detect_reflections(p)
     fr = fundamental_region(p, dihedral_group(refs[0], refs[1]))
     base = dihedral_coefficients(fr)
+    assert all(type(x) is int for x in [*base.c.values(), *base.d.values()])
     names = variable_names(fr)
     flips = 0
     for which in ("c", "d"):
         for key in sorted(getattr(base, which)):
             c, d = dict(base.c), dict(base.d)
             (c if which == "c" else d)[key] += 1
-            bad = base.__class__(sets=base.sets, c=c, d=d,
-                                 integral=base.integral)
+            bad = base.__class__(sets=base.sets, c=c, d=d)
             rmap = build_dihedral_map(fr, bad)
             well = check_well_defined(rmap, names)
             gens, _ = group_ring_actions(rmap.target, fr)

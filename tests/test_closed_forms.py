@@ -2,22 +2,26 @@
 
 Every small system of the fold pipeline is 2 x 2 or 2 x 1, and the package
 solves each one in closed form: Cramer's rule for the degree-2 classes of x_0
-and x_1 and for a wedge's normal jump, a projection for a mirror's, and a
-column of g + 1 for a reflection's fixed line, and the sign of a Cartan
-integer for a fundamental chamber. Here each one is compared with the
-elimination or search it replaced (rref and kernel_basis of
-tests/ratmatrix.py, the trial clip of every sign choice) or with sympy's
-exact solver, on the corpus, on the fold regions of every fold shape and on
-generated polygons of all six shapes (bench/generators.py, read as a plain
-module). On the generated folds, the degree-2 invariants from orbit
-sums are compared with the kernel of the stacked (rho - 1) blocks, and the
-pairing continuant with sympy's determinant. On every fold, each degree-2
-rank taken in edge coordinates (CohomologyRing.deg2_rank) is compared with
-the rank of the same forms in deg2_basis coordinates, and each degree-4
-value of the bilinear form (CohomologyRing.deg4), which walks three table
-neighbours, with the dense double sum over the whole table. The table built
-on integer determinants is compared with the same closed form evaluated on
-Fractions, and every row the library builds holds nonzero Fractions only.
+and x_1, exact integer division by det(eta_1, eta_2) for a wedge's normal
+jump and by |eta|^2 for a mirror's, a column of g + 1 for a reflection's
+fixed line, the sign of a Cartan integer for a fundamental chamber, and
+(-1)^(m-3) d_0^2 / (d_0 ... d_{m-1}) for the determinant of the degree-2
+pairing. Here each one is compared with the elimination, recurrence or
+search it replaced (rref and kernel_basis of tests/ratmatrix.py, the
+three-term continuant, the trial clip of every sign choice) or with sympy's
+exact solver and determinant, on the corpus, on the fold regions of every
+fold shape and on generated polygons of all six shapes (bench/generators.py,
+read as a plain module). Every normal-jump coefficient of every mirror and
+ordered mirror pair of those polygons and of the four weight polytopes is
+an int. On the generated folds, the degree-2 invariants from orbit sums are
+compared with the kernel of the stacked (rho - 1) blocks. On every fold,
+each degree-2 rank taken in edge coordinates (CohomologyRing.deg2_rank) is
+compared with the rank of the same forms in deg2_basis coordinates, and each
+degree-4 value of the bilinear form (CohomologyRing.deg4), which walks three
+table neighbours, with the dense double sum over the whole table. The table
+built on integer determinants is compared with the same closed form
+evaluated on Fractions, and every row the library builds holds nonzero
+Fractions only.
 The multiplicativity verdict, which evaluates the tridiagonal pairs and
 reads the rest off check_well_defined, is compared with the all-pairs loop
 on every fold and on tampered maps.
@@ -41,6 +45,7 @@ from toricsym.cohomology import cohomology_ring, invariant_deg2, orbit_sums
 from toricsym.errors import InconsistentGeometry
 from toricsym.exactlin import rank, spans_equal
 from toricsym.geometry import cross, polygon_from_vertices, primitive
+from toricsym.rootsystems import ROTATION_ORDER, root_system, weight_polytope
 from toricsym.symmetry import (
     Reflection, _region, chambers, coefficient_pair, detect_reflections,
     dihedral_coefficients, dihedral_group, edge_permutation,
@@ -69,13 +74,23 @@ def corpus_folds():
     return out
 
 
-def generated_folds():
+def generated_polygons(seeds=(0,)):
+    """(family, polygon) for every family/shape pair of the generator at
+    each seed, with its fewest generic orbits."""
+    out = []
+    for family, shape in sorted(gen.MIRROR_SEEDS):
+        for seed in seeds:
+            inst = gen.generate(family, shape, gen.smallest_k(family, shape),
+                                seed)
+            out.append((family, polygon_from_vertices(inst.vertices)))
+    return out
+
+
+def generated_folds(seeds=(0,)):
     """(polygon, group) for every family/shape pair of the generator, the
     group being the single mirror or the maximal dihedral group."""
     out = []
-    for family, shape in sorted(gen.MIRROR_SEEDS):
-        inst = gen.generate(family, shape, gen.smallest_k(family, shape), 0)
-        p = polygon_from_vertices(inst.vertices)
+    for family, p in generated_polygons(seeds):
         refs = detect_reflections(p)
         out.append((p, refs[0] if family == "mirror"
                     else maximal_dihedral(refs)[0]))
@@ -149,6 +164,71 @@ def test_reflection_normal_matches_the_kernel():
     assert count > 20
 
 
+def mirrors_and_ordered_pairs(p):
+    """Every mirror of p and the group of every ordered pair of distinct
+    mirrors."""
+    refs = detect_reflections(p)
+    return list(refs) + [dihedral_group(a, b) for i, a in enumerate(refs)
+                         for j, b in enumerate(refs) if i != j]
+
+
+def test_every_fold_coefficient_is_an_int():
+    """Each term of the telescoped normal jump is an integer multiple of a
+    mirror normal, so exact division leaves no remainder: every c and d is
+    an int for every mirror and ordered mirror pair of the corpus, of the
+    four weight polytopes and of the 15 family/shape pairs at seeds 0-3, and
+    each jump is c eta_1 (+ d eta_2) again."""
+    polygons = list(corpus().values())
+    polygons += [weight_polytope(root_system(t))
+                 for t in sorted(ROTATION_ORDER)]
+    polygons += [p for _, p in generated_polygons((0, 1, 2, 3))]
+    folds = {1: 0, 2: 0}
+    for p in polygons:
+        for g in mirrors_and_ordered_pairs(p):
+            fr = fundamental_region(p, g)
+            co = dihedral_coefficients(fr)
+            assert all(type(x) is int
+                       for x in [*co.c.values(), *co.d.values()]), fr.kind
+            normals = [e.normal for e in p.edges]
+            for key, c in co.c.items():
+                word, j = key
+                xs = (c, co.d[key]) if key in co.d else (c,)
+                parent = fr.parent_of[fr.slot_edges[j]]
+                lam = normals[parent]
+                jump = [sum(x * eta[r] for x, eta in zip(xs, fr.etas))
+                        for r in (0, 1)]
+                assert ((lam[0] + jump[0], lam[1] + jump[1])
+                        == normals[fr.edge_perms[word][parent]]), key
+            folds[len(fr.etas)] += 1
+    assert folds == {1: 251, 2: 798}, folds
+
+
+def continuant(ring):
+    """The determinant of the tridiagonal degree-2 pairing by the three-term
+    recurrence K_b = T[b][b] K_(b-1) - T[b-1][b]^2 K_(b-2) over the basis
+    x_2 .. x_(m-1), from K = 1 and 0."""
+    t = ring.product_table
+    det, prev = Fraction(1), Fraction(0)
+    for b in ring.deg2_basis:
+        det, prev = t[b][b] * det - t[b - 1][b] ** 2 * prev, det
+    return det
+
+
+def test_pairing_closed_form_is_the_continuant():
+    """pairing_det, the closed form (-1)^(m-3) d_0^2 / prod d_i, equals the
+    continuant and sympy's dense determinant of the pairing, and is nonzero,
+    on every corpus ring, on both rings of every fold in FOLDS and REGIONS,
+    and on both rings of the generated folds at seeds 0-3."""
+    polygons = list(corpus().values()) + [p for p, _ in FOLDS]
+    polygons += [fr.region for fr in REGIONS]
+    for p, g in generated_folds((0, 1, 2, 3)):
+        polygons += [p, fundamental_region(p, g).region]
+    for p in polygons:
+        ring = cohomology_ring(p)
+        assert ring.pairing_det == continuant(ring) != 0, p.vertices
+        assert ring.pairing_det == sympy_det(ring.pairing), p.vertices
+
+
 def trial_chambers(p, group):
     """The sign choices of the mirror normals whose clipped region passes
     the region builder's checks (its area, one mirror edge per generator,
@@ -174,17 +254,10 @@ def test_chamber_rule_is_the_trial_search():
     region builder's checks: both of a mirror, two of four for ell >= 3,
     all four for ell = 2."""
     polygons = list(corpus().values())
-    for family, shape in sorted(gen.MIRROR_SEEDS):
-        for seed in (0, 1):
-            inst = gen.generate(family, shape, gen.smallest_k(family, shape),
-                                seed)
-            polygons.append(polygon_from_vertices(inst.vertices))
+    polygons += [p for _, p in generated_polygons((0, 1))]
     kept = {1: 0, 2: 0, 3: 0, 4: 0, 6: 0}
     for p in polygons:
-        refs = detect_reflections(p)
-        groups = list(refs) + [dihedral_group(a, b) for i, a in enumerate(refs)
-                               for j, b in enumerate(refs) if i != j]
-        for g in groups:
+        for g in mirrors_and_ordered_pairs(p):
             got = chambers(g)
             assert got == trial_chambers(p, g), (p.vertices, g)
             ell = getattr(g, "ell", 1)
@@ -229,13 +302,6 @@ def test_edge_coordinate_ranks_match_the_deg2_basis_route():
                     == rank(deg2_rows(ring, forms))), fr.kind
         for r in (ring, rmap.source):
             assert r.deg2_rank(r.linear_rows) == 0
-
-
-def test_pairing_continuant_on_generated_folds():
-    for p, g in GENERATED:
-        for q in (p, fundamental_region(p, g).region):
-            ring = cohomology_ring(q)
-            assert ring.pairing_det == sympy_det(ring.pairing) != 0
 
 
 def test_deg4_is_the_dense_bilinear_form():
@@ -358,8 +424,7 @@ def tampered_maps(fr, rmap):
     far edge, the first and last basis images swapped, and, where it
     applies, sr_only_tamper."""
     zero = dihedral_coefficients(fr)
-    zero = replace(zero, c={k: Fraction(0) for k in zero.c},
-                   d={k: Fraction(0) for k in zero.d})
+    zero = replace(zero, c={k: 0 for k in zero.c}, d={k: 0 for k in zero.d})
     out = [build_dihedral_map(fr, zero)]
     basis, images, m = rmap.source.deg2_basis, rmap.images, rmap.target.m
     first, last = basis[0], basis[-1]

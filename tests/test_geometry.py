@@ -186,8 +186,9 @@ def test_exact_products_stay_exact_where_they_divide():
     # cross and dot return the entries' own type: ints on integer normals.
     # Every call site that divides by one has a Fraction operand, so no
     # float can appear: the vertices of a half-space intersection, the
-    # points clipped from a polygon, its area and containment values, and
-    # the normal-jump coefficients of every fold.
+    # points clipped from a polygon, its area and containment values. The
+    # normal-jump coefficients of every fold divide ints exactly and are
+    # ints.
     from toricsym.catalog import corpus
     from toricsym.symmetry import (
         coefficient_pair, detect_reflections, fundamental_region,
@@ -213,7 +214,7 @@ def test_exact_products_stay_exact_where_they_divide():
             for j in fr.slots:
                 for u in fr.group.elements:
                     values = coefficient_pair(fr, u, j)
-                    assert all(type(x) is Fraction for x in values), (fr.kind, j)
+                    assert all(type(x) is int for x in values), (fr.kind, j)
 
 
 def test_parse_rational_strict():

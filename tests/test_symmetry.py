@@ -129,7 +129,7 @@ def test_single_region_case_1_1_square():
     coeffs = dihedral_coefficients(fr)
     assert coeffs.c == {((), 1): 0, ((1,), 1): 2}
     assert coeffs.d == {}
-    assert coeffs.integral
+    assert all(type(x) is int for x in coeffs.c.values())
 
 
 def test_single_region_case_1_3_square_diagonal():
@@ -566,3 +566,25 @@ def test_mirror_jump_off_the_normal_is_rejected_by_name():
             "normal difference (1, 1) is not a multiple of eta=(0, 1)") + "$"):
         coefficient_pair(bad, sigma, 1)
     assert coefficient_pair(fr, sigma, 1) == (2,)
+
+
+def test_wedge_jump_off_the_mirror_lattice_is_rejected_by_name():
+    """A wedge's coefficients are integers, and exact division can leave a
+    remainder only when |det(eta1, eta2)| >= 2: on the hexagon's 2-2 fold by
+    mirrors 0 and 3, eta1 = (1, 1) and eta2 = (-1, 1) span an index-2
+    sublattice. A doctored s1 that sends slot 1's parent, edge 1 of normal
+    (1, -1), to edge 0 of normal (0, -1) jumps by (-1, 0), which is not in
+    Z eta1 + Z eta2."""
+    refs = detect_reflections(HEXAGON)
+    fr = fundamental_region(HEXAGON, dihedral_group(refs[0], refs[3]))
+    assert (fr.kind, fr.etas, fr.slot_edges[1], fr.parent_of[1]) == (
+        "2-2", ((1, 1), (-1, 1)), 1, 1)
+    s1 = fr.group.elements[1]
+    assert s1.word == (1,) and fr.edge_perms[(1,)] == (2, 1, 0, 5, 4, 3)
+    assert coefficient_pair(fr, s1, 1) == (0, 0)
+    bad = dataclasses.replace(fr, edge_perms={**fr.edge_perms,
+                                              (1,): (2, 0, 1, 5, 4, 3)})
+    with pytest.raises(InconsistentGeometry, match="^" + re.escape(
+            "normal difference (-1, 0) is not an integer combination of "
+            "eta1=(1, 1) and eta2=(-1, 1)") + "$"):
+        coefficient_pair(bad, s1, 1)
