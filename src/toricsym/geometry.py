@@ -6,6 +6,17 @@ rational offset a for which the polygon is { x : <x, n> + a <= 0 }. Offsets
 are negative exactly because the origin is interior. Construction from
 vertices and from half-spaces are mutual inverses on valid data.
 
+Each vertex is stored twice: as the Fraction pair (x, y) it was given or
+computed as, and as the reduced int triple (X, Y, D) with (x, y) = (X, Y)/D,
+D > 0 and gcd(X, Y, D) = 1, so that D is the lcm of the vertex's own two
+denominators. Every predicate is the sign of an integer expression in the
+triples: orientation, turns, winding, the side of a line, redundancy. An
+edge direction is the vertex difference times D_i * D_{i+1} > 0, which
+keeps its turn signs, its winding and its primitive normal. A Fraction is
+built only as a result: an edge offset, a vertex computed as a triple, and
+the area, a balanced-tree sum of the shoelace terms whose operands stay of
+like size, where a running sum would carry the lcm of every denominator.
+
 All arithmetic is exact. Vertex cycles are canonicalized (the
 lexicographically smallest vertex comes first) so equal polygons compare
 equal and edge indices are reproducible.
@@ -29,6 +40,7 @@ from .exactlin import Rat
 
 Point = tuple[Rat, Rat]
 IntVec = tuple[int, int]
+Triple = tuple[int, int, int]  # (X, Y, D): the point (X, Y)/D, reduced
 
 
 def pt(x, y) -> Point:
@@ -62,6 +74,53 @@ def primitive(v: Sequence) -> IntVec:
     a, b = int(x * q), int(y * q)
     g = gcd(abs(a), abs(b))
     return (a // g, b // g)
+
+
+def _triple(v: Point) -> Triple:
+    """The reduced triple of a point with Fraction coordinates."""
+    x, y = v
+    dx, dy = x.denominator, y.denominator
+    d = dx // gcd(dx, dy) * dy
+    return (x.numerator * (d // dx), y.numerator * (d // dy), d)
+
+
+def _reduced(x: int, y: int, d: int) -> Triple:
+    """The reduced triple of the point (x, y)/d, for any int d != 0."""
+    g = gcd(x, y, d)
+    if d < 0:
+        g = -g
+    return (x // g, y // g, d // g)
+
+
+def _point(t: Triple) -> Point:
+    return (Fraction(t[0], t[2]), Fraction(t[1], t[2]))
+
+
+def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The reduced sum of two reduced fractions (num, den), den > 0, whose
+    gcds take operands no larger than the denominators (Knuth, TAOCP
+    vol. 2, 4.5.1)."""
+    (na, da), (nb, db) = a, b
+    g = gcd(da, db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    return (t // g2, s * (db // g2))
+
+
+def _twice_area(triples: Sequence[Triple]) -> tuple[int, int]:
+    """Twice the signed area of a vertex cycle as a reduced (num, den): the
+    shoelace terms det(v_i, v_{i+1}) added pairwise, level by level."""
+    terms = []
+    for (x1, y1, d1), (x2, y2, d2) in zip(triples, triples[1:] + triples[:1]):
+        num, den = x1 * y2 - x2 * y1, d1 * d2
+        g = gcd(num, den)
+        terms.append((num // g, den // g))
+    while len(terms) > 1:
+        paired = [_add(terms[k], terms[k + 1])
+                  for k in range(0, len(terms) - 1, 2)]
+        terms = paired + terms[len(paired) * 2:]
+    return terms[0]
 
 
 RAT_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
@@ -117,6 +176,7 @@ class Edge:
 class RationalPolygon:
     vertices: tuple[Point, ...]
     edges: tuple[Edge, ...]
+    triples: tuple[Triple, ...]  # vertices[i] == (X, Y)/D for triples[i]
 
     @property
     def m(self) -> int:
@@ -129,11 +189,8 @@ class RationalPolygon:
         return tuple((e.normal, e.offset) for e in self.edges)
 
     def area(self) -> Rat:
-        s = Fraction(0)
-        vs = self.vertices
-        for i in range(len(vs)):
-            s += cross(vs[i], vs[(i + 1) % len(vs)])
-        return s / 2
+        num, den = _twice_area(self.triples)
+        return Fraction(num, 2 * den)
 
     def to_json(self, name: str = "polygon") -> dict:
         return {
@@ -145,22 +202,24 @@ class RationalPolygon:
         }
 
 
-def _canonical_rotation(points: list[Point]) -> list[Point]:
-    k = min(range(len(points)), key=lambda i: points[i])
-    return points[k:] + points[:k]
-
-
-def _build(points: list[Point], allow_boundary_origin: bool) -> RationalPolygon:
+def _build(points: list[Point], triples: list[Triple],
+           allow_boundary_origin: bool) -> RationalPolygon:
+    """Validate a vertex cycle, given both as points and as their reduced
+    triples, into a RationalPolygon; the points become its vertices as they
+    are."""
     n = len(points)
     if n < 3:
         raise NotConvex("need at least 3 vertices")
-    area2 = sum(cross(points[i], points[(i + 1) % n]) for i in range(n))
+    area2 = _twice_area(triples)[0]
     if area2 == 0:
         raise NotConvex("vertex cycle has zero area")
     if area2 < 0:
         points = [points[0]] + points[1:][::-1]
-    dirs = [(points[(i + 1) % n][0] - points[i][0],
-             points[(i + 1) % n][1] - points[i][1]) for i in range(n)]
+        triples = [triples[0]] + triples[1:][::-1]
+    # the direction of edge i times D_i * D_{i+1} > 0
+    dirs = [(x2 * d1 - x1 * d2, y2 * d1 - y1 * d2)
+            for (x1, y1, d1), (x2, y2, d2)
+            in zip(triples, triples[1:] + triples[:1])]
     for i in range(n):
         turn = cross(dirs[i], dirs[(i + 1) % n])
         if turn == 0:
@@ -178,18 +237,22 @@ def _build(points: list[Point], allow_boundary_origin: bool) -> RationalPolygon:
     winds = sum(upper[i] and not upper[i - 1] for i in range(n))
     if winds != 1:
         raise NotConvex(f"edge directions wind {winds} times around")
-    points = _canonical_rotation(points)
+    k = min(range(n), key=points.__getitem__)
+    points, triples = points[k:] + points[:k], triples[k:] + triples[:k]
+    dirs = dirs[k:] + dirs[:k]
     edges = []
     for i in range(n):
-        tail, head = points[i], points[(i + 1) % n]
-        d = (head[0] - tail[0], head[1] - tail[1])
-        normal = primitive((d[1], -d[0]))
-        offset = -dot(tail, normal)
-        if offset > 0 or (offset == 0 and not allow_boundary_origin):
+        dx, dy = dirs[i]
+        g = gcd(dx, dy)
+        normal = (dy // g, -(dx // g))
+        # the offset is -<(X, Y), normal> / D, and D > 0
+        s = dot(triples[i], normal)
+        if s < 0 or (s == 0 and not allow_boundary_origin):
             raise OriginNotInterior(
                 "the origin must lie strictly inside the polygon")
-        edges.append(Edge(tail, head, normal, offset))
-    return RationalPolygon(tuple(points), tuple(edges))
+        edges.append(Edge(points[i], points[(i + 1) % n], normal,
+                          Fraction(-s, triples[i][2])))
+    return RationalPolygon(tuple(points), tuple(edges), tuple(triples))
 
 
 def polygon_from_vertices(points: Iterable[Sequence]) -> RationalPolygon:
@@ -198,14 +261,14 @@ def polygon_from_vertices(points: Iterable[Sequence]) -> RationalPolygon:
     Raises NotConvex, CollinearTriple or OriginNotInterior.
     """
     pts = [pt(p[0], p[1]) for p in points]
-    return _build(pts, allow_boundary_origin=False)
+    return _build(pts, [_triple(v) for v in pts], allow_boundary_origin=False)
 
 
-def _region_polygon(points: Iterable[Sequence]) -> RationalPolygon:
+def _region_polygon(triples: Sequence[Triple]) -> RationalPolygon:
     # Internal constructor for fundamental regions, whose mirror edges pass
     # through the origin (offset 0). Everything else stays strict.
-    pts = [pt(p[0], p[1]) for p in points]
-    return _build(pts, allow_boundary_origin=True)
+    return _build([_point(t) for t in triples], list(triples),
+                  allow_boundary_origin=True)
 
 
 def _angular_cmp(a: IntVec, b: IntVec) -> int:
@@ -232,14 +295,17 @@ def polygon_from_halfspaces(
     exactly, and every half-space must contribute an edge. Raises ZeroVector,
     OriginNotInterior, RedundantHalfspace or Unbounded.
     """
-    cleaned: list[tuple[IntVec, Rat]] = []
+    cleaned: list[tuple[IntVec, Fraction]] = []
     for n, a in halfspaces:
-        nx, ny = Fraction(n[0]), Fraction(n[1])
-        prim = primitive((nx, ny))
-        # scale s with (nx, ny) = s * prim; s > 0 keeps the inequality
-        s = nx / prim[0] if prim[0] != 0 else ny / prim[1]
-        offset = Fraction(a) / s
-        if offset >= 0:
+        x, y, den = _triple((Fraction(n[0]), Fraction(n[1])))
+        g = gcd(x, y)
+        if g == 0:
+            raise ZeroVector("cannot primitivize (0, 0)")
+        prim = (x // g, y // g)
+        # n = (g / den) * prim, so the offset a becomes a * den / g
+        a = Fraction(a)
+        offset = Fraction(a.numerator * den, a.denominator * g)
+        if offset.numerator >= 0:
             raise OriginNotInterior(
                 f"half-space {prim} with offset {format_rational(offset)} "
                 "excludes the origin from the interior")
@@ -258,22 +324,25 @@ def polygon_from_halfspaces(
             raise Unbounded(
                 f"normals {normals[i]} and {normals[(i + 1) % m]} leave an "
                 "angular gap of at least a half turn")
-    verts: list[Point] = []
+    # each line <x, n> + p/q = 0 as the int row (n_x, n_y, p, q), q > 0
+    rows = [(*n, seen[n].numerator, seen[n].denominator) for n in normals]
+    triples: list[Triple] = []
     for i in range(m):
-        n1, n2 = normals[i], normals[(i + 1) % m]
-        a1, a2 = seen[n1], seen[n2]
-        det = cross(n1, n2)
-        x = (-a1 * n2[1] + a2 * n1[1]) / det
-        y = (-a2 * n1[0] + a1 * n2[0]) / det
-        verts.append((x, y))
-    for i, v in enumerate(verts):
-        for j in range(m):
+        (u1, w1, p1, q1), (u2, w2, p2, q2) = rows[i], rows[(i + 1) % m]
+        # Cramer's rule times q1 * q2 > 0; the determinant is positive
+        triples.append(_reduced(p2 * q1 * w1 - p1 * q2 * w2,
+                                p1 * q2 * u2 - p2 * q1 * u1,
+                                q1 * q2 * (u1 * w2 - w1 * u2)))
+    for i, (x, y, d) in enumerate(triples):
+        for j, (u, w, p, q) in enumerate(rows):
             if j in (i, (i + 1) % m):
                 continue
-            if dot(v, normals[j]) + seen[normals[j]] >= 0:
+            # <(x, y)/d, n_j> + p/q >= 0, times d * q > 0
+            if (x * u + y * w) * q + p * d >= 0:
                 raise RedundantHalfspace(
                     f"half-space with normal {normals[j]} contributes no edge")
-    poly = polygon_from_vertices(verts)
+    poly = _build([_point(t) for t in triples], triples,
+                  allow_boundary_origin=False)
     assert set(poly.halfspaces()) == set(seen.items())
     return poly
 
@@ -296,7 +365,8 @@ def polygon_from_json(obj: dict) -> tuple[str, RationalPolygon]:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ValueError(f"vertex {entry!r} is not a coordinate pair")
             points.append((parse_rational(entry[0]), parse_rational(entry[1])))
-        return name, polygon_from_vertices(points)
+        return name, _build(points, [_triple(v) for v in points],
+                            allow_boundary_origin=False)
     if "halfspaces" in obj:
         raw = obj["halfspaces"]
         if not isinstance(raw, list) or not raw:
@@ -318,26 +388,29 @@ def polygon_from_json(obj: dict) -> tuple[str, RationalPolygon]:
     raise ValueError("polygon JSON needs a 'vertices' or 'halfspaces' key")
 
 
-def clip_halfplane(points: Sequence[Point], normal: Sequence,
-                   ) -> list[Point]:
-    """Clip a ccw vertex cycle against { x : <x, normal> <= 0 }.
+def clip_halfplane(triples: Sequence[Triple], normal: Sequence[int],
+                   ) -> list[Triple]:
+    """Clip a ccw cycle of reduced vertex triples against
+    { x : <x, normal> <= 0 }.
 
-    Returns the new cycle (possibly with duplicate-free boundary points
-    inserted where edges cross the line through the origin).
+    A vertex's side is the sign of S = <(X, Y), normal>, as D > 0. An edge
+    whose ends lie strictly on both sides crosses the line at the reduced
+    triple (S1 (X2, Y2) - S2 (X1, Y1), S1 D2 - S2 D1), which is inserted;
+    the new cycle has no repeated consecutive point.
     """
-    out: list[Point] = []
-    n = len(points)
-    vals = [dot(q, normal) for q in points]
+    out: list[Triple] = []
+    n = len(triples)
+    vals = [dot(t, normal) for t in triples]
     for i in range(n):
-        q1, q2 = points[i], points[(i + 1) % n]
+        t1, t2 = triples[i], triples[(i + 1) % n]
         s1, s2 = vals[i], vals[(i + 1) % n]
         if s1 <= 0:
-            out.append(q1)
+            out.append(t1)
         if (s1 < 0 < s2) or (s2 < 0 < s1):
-            t = s1 / (s1 - s2)
-            out.append((q1[0] + t * (q2[0] - q1[0]),
-                        q1[1] + t * (q2[1] - q1[1])))
-    dedup: list[Point] = []
+            (x1, y1, d1), (x2, y2, d2) = t1, t2
+            out.append(_reduced(s1 * x2 - s2 * x1, s1 * y2 - s2 * y1,
+                                s1 * d2 - s2 * d1))
+    dedup: list[Triple] = []
     for q in out:
         if not dedup or q != dedup[-1]:
             dedup.append(q)

@@ -10,16 +10,17 @@ orbit decomposition and one coefficient table serve both kinds of group.
 A lattice map is a Mat2: the integer entries (a, b, c, d) of the matrix
 (a b; c d), row-major. Reflections, group elements and the Weyl group
 generators of toricsym.rootsystems are all Mat2; no map is a Fraction
-matrix. Each vertex (x, y) is the reduced triple (X, Y, D) with (x, y) =
-(X, Y)/D and D the lcm of that vertex's own two denominators. A map in
-GL2(Z) keeps gcd(X, Y), so it sends a reduced triple to the reduced triple
-(g(X, Y), D): mapping a vertex costs four integer products, and a lattice
-mirror pairs vertices of equal D only. A common denominator for the whole
-polygon would be the lcm of all of them, thousands of bits for a generated
-polygon with m in the thousands, and every product would pay for it. Group
-elements are multiplied as Mat2, each word's matrix from its prefix's, and
-only the generators map vertices: every other element's edge permutation is
-composed from theirs along its word.
+matrix. Vertices are read from RationalPolygon.triples, built once with the
+polygon: (x, y) is the reduced triple (X, Y, D) with (x, y) = (X, Y)/D and
+D the lcm of that vertex's own two denominators. A map in GL2(Z) keeps
+gcd(X, Y), so it sends a reduced triple to the reduced triple (g(X, Y), D):
+mapping a vertex costs four integer products, and a lattice mirror pairs
+vertices of equal D only. A common denominator for the whole polygon would
+be the lcm of all of them, thousands of bits for a generated polygon with m
+in the thousands, and every product would pay for it. Group elements are
+multiplied as Mat2, each word's matrix from its prefix's, and only the
+generators map vertices: every other element's edge permutation is composed
+from theirs along its word.
 
 The fundamental region is the polygon clipped by each chosen mirror normal
 eta in turn, to its side <x, eta> <= 0, with signs that make this a chamber:
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
@@ -57,8 +57,8 @@ from .errors import (
 )
 from .exactlin import Rat
 from .geometry import (
-    IntVec, RationalPolygon, _region_polygon, clip_halfplane, cross, dot,
-    format_point, format_rational, primitive,
+    IntVec, RationalPolygon, _reduced, _region_polygon, clip_halfplane,
+    cross, dot, format_point, format_rational, primitive,
 )
 
 
@@ -107,22 +107,11 @@ class Reflection:
         return (GroupElement((), IDENTITY), GroupElement((1,), self.matrix))
 
 
-def _triples(p: RationalPolygon) -> list[tuple[int, int, int]]:
-    """Each vertex (x, y) as the reduced triple (X, Y, D) with (x, y) =
-    (X, Y)/D and D the lcm of the vertex's own two denominators."""
-    out = []
-    for x, y in p.vertices:
-        dx, dy = x.denominator, y.denominator
-        d = dx // gcd(dx, dy) * dy
-        out.append((x.numerator * (d // dx), y.numerator * (d // dy), d))
-    return out
-
-
 def vertex_permutation(p: RationalPolygon, matrix: Mat2) -> tuple[int, ...]:
     """tau with matrix * vertices[i] == vertices[tau[i]]; NotASymmetry if the
     vertex set is not preserved."""
     a, b, c, d = matrix
-    triples = _triples(p)
+    triples = p.triples
     index = {t: i for i, t in enumerate(triples)}
     if a * d - b * c in (1, -1):
         # a lattice map keeps each reduced triple reduced, with the same D
@@ -136,11 +125,6 @@ def vertex_permutation(p: RationalPolygon, matrix: Mat2) -> tuple[int, ...]:
         v = p.vertices[images.index(None)]
         raise NotASymmetry(f"image of vertex {format_point(v)} is not a vertex")
     return tuple(images)
-
-
-def _reduced(x: int, y: int, e: int) -> tuple[int, int, int]:
-    g = gcd(x, y, e)
-    return (x // g, y // g, e // g)
 
 
 def edge_permutation(p: RationalPolygon, matrix: Mat2) -> tuple[int, ...]:
@@ -168,7 +152,7 @@ def detect_reflections(p: RationalPolygon) -> tuple[Reflection, ...]:
     must share the D of v_0 and v_1. Then the map is T adj(B) / det(B), with
     B = (X_0 X_1; Y_0 Y_1) and T the same for v_k and v_{k-1}: it is integral
     iff det(B) divides T adj(B), and of determinant -1 iff det(T) = -det(B)."""
-    tr = _triples(p)
+    tr = p.triples
     (x0, y0, d0), (x1, y1, d1) = tr[0], tr[1]
     det = x0 * y1 - x1 * y0  # vertices span the plane: no edge line hits 0
     found = []
@@ -370,7 +354,7 @@ def _region(p: RationalPolygon, group: "Reflection | DihedralGroup",
     perms maps each element's matrix to its edge permutation: the swapped
     group names the same matrices by other words.
     """
-    pts = p.vertices
+    pts = p.triples
     for eta in etas:
         pts = clip_halfplane(pts, eta)
     region = _region_polygon(pts)
@@ -386,9 +370,9 @@ def _region(p: RationalPolygon, group: "Reflection | DihedralGroup",
     if set(arc) != set(parents):
         raise InconsistentGeometry("slot edges do not form one arc")
     # the ray at the arc's start, then the one at its end
-    ends = ((arc[0], region.vertices[arc[0]]),
-            (arc[-1], region.vertices[(arc[-1] + 1) % m]))
-    exits = [("vertex", p.vertices.index(q)) if q in p.vertices
+    ends = ((arc[0], region.triples[arc[0]]),
+            (arc[-1], region.triples[(arc[-1] + 1) % m]))
+    exits = [("vertex", p.triples.index(q)) if q in p.triples
              else ("edge", parents[idx]) for idx, q in ends]
     crossed = [idx for (idx, _), (feature, _) in zip(ends, exits)
                if feature == "edge"]

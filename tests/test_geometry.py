@@ -9,6 +9,7 @@ route.
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -182,13 +183,17 @@ def test_nonadjacent_pairs_is_the_pairwise_definition():
         assert len(brute) == m * (m - 3) // 2
 
 
+def reduced_int_triple(t):
+    return (all(type(c) is int for c in t) and len(t) == 3 and t[2] > 0
+            and gcd(*t) == 1)
+
+
 def test_exact_products_stay_exact_where_they_divide():
     # cross and dot return the entries' own type: ints on integer normals.
-    # Every call site that divides by one has a Fraction operand, so no
-    # float can appear: the vertices of a half-space intersection, the
-    # points clipped from a polygon, its area and containment values. The
-    # normal-jump coefficients of every fold divide ints exactly and are
-    # ints.
+    # Vertices stay Fractions and the area is one, so no float can appear;
+    # the points clipped from a polygon are reduced int triples (D > 0,
+    # gcd 1). The normal-jump coefficients of every fold divide ints
+    # exactly and are ints.
     from toricsym.catalog import corpus
     from toricsym.symmetry import (
         coefficient_pair, detect_reflections, fundamental_region,
@@ -201,8 +206,8 @@ def test_exact_products_stay_exact_where_they_divide():
         q = polygon_from_halfspaces(p.halfspaces())
         assert all(type(x) is Fraction for v in q.vertices for x in v)
         assert type(q.area()) is Fraction
-        cut = clip_halfplane(q.vertices, q.edges[0].normal)
-        assert all(type(x) is Fraction for v in cut for x in v)
+        cut = clip_halfplane(q.triples, q.edges[0].normal)
+        assert cut and all(reduced_int_triple(t) for t in cut)
         refs = detect_reflections(p)
         groups = list(refs)
         if len(refs) >= 2:
@@ -211,6 +216,7 @@ def test_exact_products_stay_exact_where_they_divide():
             fr = fundamental_region(p, g)
             assert all(type(x) is Fraction for v in fr.region.vertices
                        for x in v)
+            assert all(reduced_int_triple(t) for t in fr.region.triples)
             for j in fr.slots:
                 for u in fr.group.elements:
                     values = coefficient_pair(fr, u, j)
@@ -311,10 +317,11 @@ def test_apply_linear():
 
 def test_clip_halfplane():
     p = polygon_from_vertices(SQUARE)
-    lower = clip_halfplane(p.vertices, (0, 1))
-    assert set(lower) == {pt(-1, -1), pt(1, -1), pt(1, 0), pt(-1, 0)}
+    lower = clip_halfplane(p.triples, (0, 1))
+    assert lower == [(-1, -1, 1), (1, -1, 1), (1, 0, 1), (-1, 0, 1)]
     wedge = clip_halfplane(lower, (-1, -1))
-    assert pt(0, 0) in {pt(0, 0)} ; assert len(wedge) >= 3
+    # the points (1, -1), (1, 0) and (0, 0)
+    assert wedge == [(1, -1, 1), (1, 0, 1), (0, 0, 1)]
 
 
 # rational points on the unit circle: (1-t^2, 2t)/(1+t^2); distinct slopes
