@@ -12,6 +12,7 @@ half-space lists. Every chamber of every fold clips to the oracle's points.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -91,9 +92,14 @@ def test_polygons_build_as_the_oracle_builds_them():
 
 
 def test_area_is_the_oracle_shoelace_sum():
+    """The area equals the running Fraction sum, and the tree sum returns
+    a reduced pair: its levels reduce as they add, which keeps operands
+    to the lcm of the denominators they cover."""
     for p in library_polygons():
         assert p.area() == oracle.area(p.vertices) > 0
         assert type(p.area()) is Fraction
+        num, den = geometry._twice_area(p.triples)
+        assert gcd(num, den) == 1 and den > 0
 
 
 def test_halfspace_intersection_matches_the_oracle():
